@@ -80,7 +80,6 @@ from .multirobot import (
     build_per_robot_roadmaps,
     composite_edge_valid,
     drrt_star,
-    tensor_expand,
 )
 from .nn import NeighborIndex
 from .oracles import optimal_cost_2d_boxes, tiling_cover_check

@@ -131,7 +131,10 @@ class _TensorTree:
         self.edge_w = np.zeros(256)
         self.parent = np.full(256, -1, dtype=np.int64)
         self.children = [[] for _ in range(256)]
-        self.by_first = {}
+        # per robot: roadmap vertex -> ids of the tree vertices standing on it
+        self.buckets = [{v: [] for v in rm.vertices} for rm in roadmaps]
+        # per robot: vertex -> closed_neighborhood(i, vertex)
+        self.closed = [{} for _ in range(self.r)]
         self.edge_ok = set()
         self.add(root_key, -1, 0.0)
 
@@ -163,7 +166,8 @@ class _TensorTree:
         self.parent[nid] = parent
         if parent >= 0:
             self.children[parent].append(nid)
-        self.by_first.setdefault(key[0], []).append(nid)
+        for bucket, v in zip(self.buckets, key):
+            bucket[v].append(nid)
         return nid
 
     def size(self) -> int:
@@ -176,34 +180,47 @@ class _TensorTree:
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
         return int(np.argmin(dist))
 
-    def edge_cost(self, ka, kb) -> float:
-        total = 0.0
-        for i in range(self.r):
-            total += float(np.linalg.norm(
-                self.roadmaps[i].vertices[ka[i]] - self.roadmaps[i].vertices[kb[i]]
-            ))
-        return total
+    def closed_neighborhood(self, i: int, v: int):
+        """Sorted ids of robot i's vertex v and its roadmap neighbours, with coordinates."""
+        got = self.closed[i].get(v)
+        if got is None:
+            rm = self.roadmaps[i]
+            ids = sorted([v, *rm.adjacency[v]])
+            got = (ids, np.array([rm.vertices[c] for c in ids], dtype=float))
+            self.closed[i][v] = got
+        return got
 
-    def adjacent(self, ka, kb) -> bool:
-        for i in range(self.r):
-            if ka[i] != kb[i] and kb[i] not in self.roadmaps[i].adjacency[ka[i]]:
-                return False
-        return True
+    def edge_costs(self, key, ids) -> dict:
+        """Tree id -> composite edge cost to key, summed over robots in order.
 
-    def discovered_neighbors(self, key) -> list:
-        """Discovered tree vertices adjacent to key in the product graph."""
-        first = self.roadmaps[0]
-        comp0 = [key[0]] + sorted(first.adjacency[key[0]].keys())
-        out = []
-        seen = set()
-        for v0 in comp0:
-            for nid in self.by_first.get(v0, ()):
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                other = self.keys[nid]
-                if other != key and self.adjacent(key, other):
-                    out.append(nid)
+        Each robot's step length is sqrt(vecdot) of its coordinate
+        difference, bit-equal to the 1-D np.linalg.norm; a robot that stays
+        put adds 0.  The roadmap's adjacency weights come from an axis-wise
+        norm that can differ in the last ulp, so they are not used.
+        """
+        ids = list(ids)
+        diff = (self.flat[ids] - self.config_of(key)).reshape(len(ids), self.r, self.d)
+        steps = np.sqrt(np.vecdot(diff, diff))
+        total = steps[:, 0]
+        for i in range(1, self.r):
+            total = total + steps[:, i]
+        return dict(zip(ids, total.tolist()))
+
+    def discovered_neighbors(self, key) -> set:
+        """Discovered tree vertices adjacent to key in the product graph.
+
+        A tree vertex is adjacent when, for every robot, it stands on key's
+        vertex or on one of its roadmap neighbours: the intersection over
+        robots of the buckets around key's vertices.
+        """
+        out = None
+        for i, bucket in enumerate(self.buckets):
+            ids = self.closed_neighborhood(i, key[i])[0]
+            near = set().union(*map(bucket.__getitem__, ids))
+            out = near if out is None else out & near
+            if not out:
+                return out
+        out.discard(self.key_to_id.get(key))
         return out
 
     def valid_edge_to(self, checker_counter, ka, kb) -> bool:
@@ -240,7 +257,7 @@ class _TensorTree:
             if p < 0:
                 want = 0.0
             else:
-                want = self.cost[p] + self.edge_cost(self.keys[p], self.keys[nid])
+                want = self.cost[p] + self.edge_costs(self.keys[nid], [p])[p]
             if abs(self.cost[nid] - want) > tol:
                 raise AuditError(f"tensor tree cost mismatch at {nid}")
 
@@ -248,6 +265,8 @@ class _TensorTree:
 def _expand_candidate(tree: _TensorTree, q_rand: CompositeConfig):
     """Greedy componentwise step from the tree vertex nearest to q_rand.
 
+    Each robot moves to the roadmap neighbour (staying put allowed)
+    closest to its component of q_rand, ties to the lower vertex id.
     Returns (source_id, new_key) or None when no robot moves; the
     composite edge is not validated here.
     """
@@ -255,39 +274,17 @@ def _expand_candidate(tree: _TensorTree, q_rand: CompositeConfig):
     near = tree.nearest(q_flat)
     key = tree.keys[near]
     new_key = []
-    for i, rm in enumerate(tree.roadmaps):
-        target = np.asarray(q_rand.per_robot[i], dtype=float)
-        cands = [key[i]] + sorted(rm.adjacency[key[i]].keys())
-        best = None
-        best_d = None
-        for c in cands:
-            dist = float(np.linalg.norm(rm.vertices[c] - target))
-            if best_d is None or dist < best_d or (dist == best_d and c < best):
-                best, best_d = c, dist
-        new_key.append(best)
+    for i, target in enumerate(q_rand.per_robot):
+        ids, coords = tree.closed_neighborhood(i, key[i])
+        diff = coords - np.asarray(target, dtype=float)
+        # vecdot matches the 1-D np.linalg.norm bit for bit; argmin over
+        # the sorted ids keeps the (distance, id) tie-break
+        dist = np.sqrt(np.vecdot(diff, diff))
+        new_key.append(ids[int(np.argmin(dist))])
     new_key = tuple(new_key)
     if new_key == key:
         return None
     return near, new_key
-
-
-def tensor_expand(tree: _TensorTree, roadmaps, q_rand: CompositeConfig):
-    """One expansion attempt toward a random composite configuration.
-
-    From the tree vertex nearest to q_rand, each robot moves to the
-    roadmap neighbor (staying put allowed) closest to its component of
-    q_rand, ties to the lower vertex id.  Returns the resulting adjacent
-    tensor vertex, or None when no robot moves or the composite edge from
-    the source vertex is invalid.
-    """
-    out = _expand_candidate(tree, q_rand)
-    if out is None:
-        return None
-    near, new_key = out
-    if not composite_edge_valid(tree.scenario, tree.composite(tree.keys[near]),
-                                tree.composite(new_key), tree.rho):
-        return None
-    return new_key
 
 
 def drrt_star(
@@ -306,12 +303,14 @@ def drrt_star(
 ) -> PlanResult:
     """Tree search over the implicit tensor roadmap with rewiring.
 
-    Expansion follows tensor_expand, with the composite goal configuration
-    as the sample at rate goal_bias (expansions cannot otherwise hit the
-    measure-zero goal tuple at desk scale); a newly discovered vertex
-    picks the cheapest valid parent among discovered adjacent vertices and
-    then tries to rewire them through itself.  Composite cost is the sum
-    of per-robot path lengths.
+    Each iteration steps greedily from the tree vertex nearest to a random
+    composite sample: every robot moves to the roadmap neighbour (or stays)
+    closest to its component of the sample.  The composite goal
+    configuration is the sample at rate goal_bias (expansions cannot
+    otherwise hit the measure-zero goal tuple at desk scale); a newly
+    discovered vertex picks the cheapest valid parent among discovered
+    adjacent vertices and then tries to rewire them through itself.
+    Composite cost is the sum of per-robot path lengths.
     """
     t0 = time.perf_counter()
     if iterations < 1:
@@ -343,11 +342,13 @@ def drrt_star(
             if gap < radii[i] + radii[j]:
                 raise UsageError(f"robots {i} and {j} overlap at their starts")
 
+    goal_sets = [
+        {v for v, q in rm.vertices.items() if rb.goal.contains(q)}
+        for rb, rm in zip(robots, roadmaps)
+    ]
+
     def is_goal(key) -> bool:
-        return all(
-            robots[i].goal.contains(roadmaps[i].vertices[key[i]])
-            for i in range(len(robots))
-        )
+        return all(v in goals for v, goals in zip(key, goal_sets))
 
     goal_ids = [0] if is_goal(root_key) else []
     records = []
@@ -367,7 +368,7 @@ def drrt_star(
         """Choose-parent and rewire nid against its discovered neighbors."""
         key = tree.keys[nid]
         cands = tree.discovered_neighbors(key)
-        weights = {c: tree.edge_cost(tree.keys[c], key) for c in cands}
+        weights = tree.edge_costs(key, cands)
         order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
         if nid != 0:
             for c in order:
@@ -401,7 +402,7 @@ def drrt_star(
             nid = tree.key_to_id.get(new_key)
             if nid is None:
                 cands = tree.discovered_neighbors(new_key)
-                weights = {c: tree.edge_cost(tree.keys[c], new_key) for c in cands}
+                weights = tree.edge_costs(new_key, cands)
                 order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
                 parent = None
                 for c in order:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoplan import (
     CompositeConfig,
@@ -13,9 +15,8 @@ from aoplan import (
     scenario_from_dict,
     segments_valid,
     shortest_path,
-    tensor_expand,
 )
-from aoplan.multirobot import _TensorTree
+from aoplan.multirobot import _expand_candidate, _TensorTree
 
 
 def empty_multi(robots):
@@ -108,7 +109,7 @@ def hand_tree(scenario, roadmaps):
                        scenario.default_resolution(), (0, 0))
 
 
-def test_tensor_expand_picks_componentwise_nearest():
+def test_expansion_picks_componentwise_nearest():
     sc = empty_multi([
         {"radius": 0.02, "start": [0.2, 0.2], "goal": {"center": [0.8, 0.8], "radius": 0.05}},
         {"radius": 0.02, "start": [0.2, 0.2], "goal": {"center": [0.8, 0.8], "radius": 0.05}},
@@ -116,8 +117,11 @@ def test_tensor_expand_picks_componentwise_nearest():
     roadmaps = [square_roadmap(), square_roadmap()]
     tree = hand_tree(sc, roadmaps)
     q = cc([(0.85, 0.15), (0.15, 0.9)], (0.02, 0.02))
-    key = tensor_expand(tree, roadmaps, q)
-    assert key is not None
+    out = _expand_candidate(tree, q)
+    assert out is not None
+    near, key = out
+    assert composite_edge_valid(sc, tree.composite(tree.keys[near]),
+                                tree.composite(key), tree.rho)
     # brute-force oracle: enumerate the whole adjacent candidate product
     best = None
     for c0 in [0, 1, 2]:
@@ -130,7 +134,7 @@ def test_tensor_expand_picks_componentwise_nearest():
     assert key == (1, 2)
 
 
-def test_tensor_expand_rejects_stay_put():
+def test_expansion_rejects_stay_put():
     sc = empty_multi([
         {"radius": 0.02, "start": [0.2, 0.2], "goal": {"center": [0.8, 0.8], "radius": 0.05}},
         {"radius": 0.02, "start": [0.2, 0.2], "goal": {"center": [0.8, 0.8], "radius": 0.05}},
@@ -138,10 +142,10 @@ def test_tensor_expand_rejects_stay_put():
     roadmaps = [square_roadmap(), square_roadmap()]
     tree = hand_tree(sc, roadmaps)
     q = cc([(0.2, 0.2), (0.2, 0.2)], (0.02, 0.02))
-    assert tensor_expand(tree, roadmaps, q) is None
+    assert _expand_candidate(tree, q) is None
 
 
-def test_tensor_expand_rejects_invalid_composite_edge():
+def test_expansion_rejects_invalid_composite_edge():
     sc = scenario_from_dict({
         "dimension": 2, "domain": {"min": [0, 0], "max": [1, 1]},
         "obstacles": [{"type": "box", "min": [0.4, 0.4], "max": [0.6, 0.6]}],
@@ -154,7 +158,133 @@ def test_tensor_expand_rejects_invalid_composite_edge():
     rm.add_edge(0, 1, 0.8)  # hand-planted edge straight through the box
     tree = _TensorTree(sc, [rm], (0.02,), sc.default_resolution(), (0,))
     q = cc([(0.9, 0.5)], (0.02,))
-    assert tensor_expand(tree, [rm], q) is None
+    out = _expand_candidate(tree, q)
+    assert out == (0, (1,))
+    assert not composite_edge_valid(sc, tree.composite((0,)), tree.composite((1,)),
+                                    tree.rho)
+
+
+def random_roadmaps(seed, r, n, d=2):
+    """r random roadmaps of n vertices each, with about half the pairs joined."""
+    rng = np.random.default_rng(seed)
+    roadmaps = []
+    for _ in range(r):
+        rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[])
+        for v in range(n):
+            rm.add_vertex(v, rng.random(d))
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.5:
+                    rm.add_edge(u, v, 0.0)  # weights are never read by the tree
+        roadmaps.append(rm)
+    return roadmaps
+
+
+def random_tree(roadmaps, seed, size):
+    r = len(roadmaps)
+    sc = empty_multi([SWAP_ROBOTS[0]] * r)
+    tree = _TensorTree(sc, roadmaps, (0.0,) * r, 0.01, (0,) * r)
+    rng = np.random.default_rng(seed)
+    n = len(roadmaps[0].vertices)
+    for _ in range(size):
+        key = tuple(int(v) for v in rng.integers(0, n, r))
+        if key not in tree.key_to_id:
+            tree.add(key, 0, 0.0)  # structure is irrelevant to neighbour lookup
+    return tree, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), n=st.integers(2, 7), size=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed):
+    roadmaps = random_roadmaps(seed, r, n)
+    tree, rng = random_tree(roadmaps, seed + 1, size)
+    queries = list(tree.keys) + [
+        tuple(int(v) for v in rng.integers(0, n, r)) for _ in range(10)
+    ]
+    for key in queries:
+        # oracle: scan every tree key for product adjacency
+        want = {
+            tid for tid, other in enumerate(tree.keys)
+            if other != key and all(
+                a == b or b in rm.adjacency[a]
+                for a, b, rm in zip(key, other, roadmaps)
+            )
+        }
+        got = tree.discovered_neighbors(key)
+        assert set(got) == want
+        weights = tree.edge_costs(key, sorted(want))
+        for tid in sorted(want):
+            total = 0.0
+            for a, b, rm in zip(tree.keys[tid], key, roadmaps):
+                total += float(np.linalg.norm(rm.vertices[a] - rm.vertices[b]))
+            assert weights[tid] == total
+        if key in tree.key_to_id:
+            # staying put costs 0 in every robot
+            own = tree.key_to_id[key]
+            assert tree.edge_costs(key, [own]) == {own: 0.0}
+
+
+def expand_by_loop(tree, q_rand):
+    """Per-candidate reference for _expand_candidate: norm argmin, (dist, id) ties."""
+    q_flat = np.concatenate([np.asarray(p, dtype=float) for p in q_rand.per_robot])
+    near = tree.nearest(q_flat)
+    key = tree.keys[near]
+    new_key = []
+    for i, rm in enumerate(tree.roadmaps):
+        target = np.asarray(q_rand.per_robot[i], dtype=float)
+        best = None
+        for c in [key[i]] + sorted(rm.adjacency[key[i]]):
+            dist = float(np.linalg.norm(rm.vertices[c] - target))
+            if best is None or (dist, c) < best:
+                best = (dist, c)
+        new_key.append(best[1])
+    new_key = tuple(new_key)
+    return None if new_key == key else (near, new_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), n=st.integers(2, 7), size=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_vectorised_expansion_matches_per_candidate_loop(r, n, size, seed):
+    roadmaps = random_roadmaps(seed, r, n)
+    tree, rng = random_tree(roadmaps, seed + 1, size)
+    for _ in range(10):
+        q = cc([rng.random(2) for _ in range(r)], (0.0,) * r)
+        assert _expand_candidate(tree, q) == expand_by_loop(tree, q)
+
+
+@pytest.mark.parametrize("p1, p2, want", [
+    # dyadic coordinates: both exactly 0.25 from the target, the lower id wins
+    ((0.25, 0.0), (0.0, 0.25), 1),
+    # vertex 2 is one ulp closer under the 1-D norm; an axis-wise norm
+    # rounds both to the same length and would pick vertex 1
+    ((0.4025014618726901, 0.4039703948682469), (0.40250146187269, 0.403970394868247), 2),
+])
+def test_expansion_near_ties(p1, p2, want):
+    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[])
+    rm.add_vertex(0, np.array([1.0, 1.0]))
+    rm.add_vertex(1, np.array(p1))
+    rm.add_vertex(2, np.array(p2))
+    rm.add_edge(0, 2, 0.0)  # the higher id is inserted first
+    rm.add_edge(0, 1, 0.0)
+    sc = empty_multi([SWAP_ROBOTS[0]])
+    tree = _TensorTree(sc, [rm], (0.0,), 0.01, (0,))
+    q = cc([(0.0, 0.0)], (0.0,))
+    assert expand_by_loop(tree, q) == (0, (want,))
+    assert _expand_candidate(tree, q) == (0, (want,))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_vecdot_matches_one_d_norm_bit_for_bit(d):
+    # _expand_candidate and _TensorTree.edge_costs rely on this to
+    # reproduce per-pair norms, on flat and on (pairs, robots, d) stacks
+    rng = np.random.default_rng(d)
+    rows = rng.random((20000, d)) - rng.random((20000, d))
+    slow = np.array([np.linalg.norm(row) for row in rows])
+    assert np.array_equal(np.sqrt(np.vecdot(rows, rows)), slow)
+    stacked = rows.reshape(-1, 2, d)
+    assert np.array_equal(np.sqrt(np.vecdot(stacked, stacked)).ravel(), slow)
 
 
 # --- per-robot roadmaps ------------------------------------------------------
@@ -251,8 +381,32 @@ def test_drrt_star_overlapping_starts_rejected():
         drrt_star(sc, None, UniformStream(2, 0), 100, 200)
 
 
+GOLDEN_SWAP_CHECKPOINTS = [
+    (300, 2.266594217648731), (600, 1.8311109701867028), (1200, 1.7523064895907159),
+]
+GOLDEN_SWAP_COUNTERS = {
+    "samples": 1200, "collision_checks": 2487, "nn_queries": 1200, "rewires": 1125,
+}
+GOLDEN_SWAP_PATH = (
+    [[0.1, 0.5], [0.3132856871420473, 0.5106672299595946],
+     [0.45429591404548664, 0.45290910740373125], [0.45429591404548664, 0.45290910740373125],
+     [0.5689172345246186, 0.3420260911898648], [0.7270964727776589, 0.4648137586609755],
+     [0.9, 0.5]],
+    [[0.9, 0.5], [0.9, 0.5], [0.8003610326703792, 0.5227543789189468],
+     [0.6386968158766091, 0.5340513670027063], [0.5156871326139941, 0.45072724251245955],
+     [0.30150395187210544, 0.41229381141710864], [0.1, 0.5]],
+)
+
+
 def test_drrt_star_deterministic(swap_scenario):
-    a = drrt_star(swap_scenario, None, UniformStream(2, 9), 150, 1200)
-    b = drrt_star(swap_scenario, None, UniformStream(2, 9), 150, 1200)
-    assert a.best_cost == b.best_cost
-    assert a.counters == b.counters
+    runs = [
+        drrt_star(swap_scenario, None, UniformStream(2, 9), 150, 1200,
+                  checkpoints=(300, 600, 1200))
+        for _ in range(2)
+    ]
+    # golden values recorded before the tensor-tree hot paths were rewritten
+    for res in runs:
+        assert repr(res.best_cost) == "1.7523064895907159"
+        assert res.checkpoints == GOLDEN_SWAP_CHECKPOINTS
+        assert res.counters == GOLDEN_SWAP_COUNTERS
+        assert [track.tolist() for track in res.path.per_robot] == list(GOLDEN_SWAP_PATH)
