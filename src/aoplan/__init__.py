@@ -89,7 +89,6 @@ from .sampling import (
     UniformStream,
     make_stream,
     measure_dispersion,
-    next_sample,
     radical_inverse,
     sample_free,
 )

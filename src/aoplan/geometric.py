@@ -177,43 +177,52 @@ class Roadmap:
 
 
 class SearchTree:
-    """Rooted tree over configurations with cached cost-from-start.
+    """Rooted tree with cached cost-from-start, shared by every tree planner.
 
-    Costs are maintained incrementally: every node stores the length of the
-    edge to its parent, and reparenting recomputes the whole affected
-    subtree so stored costs always equal the parent-chain sum.
+    Each node stores its configuration, parent, the length of the edge to
+    its parent (a duration in a kinodynamic tree), its cost, an active
+    flag, its children and a control of width control_dim (0 unless the
+    edges are propagated controls).  Stored costs always equal the
+    parent-chain sum: reparenting recomputes the whole moved subtree.
+    `alive` counts the nodes still attached to the root; it equals `size`
+    unless deactivate_and_prune dropped some.
     """
 
-    def __init__(self, root_config: np.ndarray, capacity: int = 256):
-        d = root_config.shape[0]
-        self._configs = np.empty((capacity, d), dtype=float)
+    def __init__(self, root_config: np.ndarray, capacity: int = 256, control_dim: int = 0):
+        self._configs = np.empty((capacity, root_config.shape[0]))
+        self.controls = np.zeros((capacity, control_dim))
         self.parent = np.full(capacity, -1, dtype=np.int64)
-        self.edge_len = np.zeros(capacity, dtype=float)
-        self.cost = np.zeros(capacity, dtype=float)
-        self.children = [[] for _ in range(capacity)]
+        self.edge_len = np.zeros(capacity)
+        self.cost = np.zeros(capacity)
+        self.active = np.zeros(capacity, dtype=bool)
+        self.children = []
         self.size = 0
-        self._append(root_config, -1, 0.0)
+        self.alive = 0
+        # not self.add: a subclass add may take its own node payload
+        SearchTree.add(self, root_config, -1, 0.0)
 
-    def _append(self, config, parent, edge_len) -> int:
-        if self.size == self._configs.shape[0]:
-            grow = self._configs.shape[0]
-            self._configs = np.vstack([self._configs, np.empty_like(self._configs)])
-            self.parent = np.concatenate([self.parent, np.full(grow, -1, dtype=np.int64)])
-            self.edge_len = np.concatenate([self.edge_len, np.zeros(grow)])
-            self.cost = np.concatenate([self.cost, np.zeros(grow)])
-            self.children.extend([] for _ in range(grow))
+    def _grow(self) -> None:
+        for name in ("_configs", "controls", "parent", "edge_len", "cost", "active"):
+            col = getattr(self, name)
+            setattr(self, name, np.concatenate([col, np.zeros_like(col)]))
+
+    def add(self, config, parent: int, edge_len: float, control=None) -> int:
+        if self.size == self.parent.shape[0]:
+            self._grow()
         nid = self.size
         self._configs[nid] = config
+        if control is not None:
+            self.controls[nid] = control
         self.parent[nid] = parent
         self.edge_len[nid] = edge_len
         self.cost[nid] = edge_len if parent < 0 else self.cost[parent] + edge_len
+        self.active[nid] = True
+        self.children.append([])
         if parent >= 0:
             self.children[parent].append(nid)
         self.size += 1
+        self.alive += 1
         return nid
-
-    def add(self, config: np.ndarray, parent: int, edge_len: float) -> int:
-        return self._append(config, parent, edge_len)
 
     def config(self, nid: int) -> np.ndarray:
         return self._configs[nid]
@@ -237,29 +246,51 @@ class SearchTree:
             self.cost[w] = self.cost[p] + self.edge_len[w] if p >= 0 else 0.0
             stack.extend(self.children[w])
 
+    def deactivate_and_prune(self, nid: int) -> None:
+        """Deactivate nid, then drop any resulting chain of dead leaves.
+
+        A dropped node leaves its parent's children list and gets parent -1;
+        the walk stops at an active node, a node with children or the root.
+        """
+        self.active[nid] = False
+        w = nid
+        while w > 0 and self.parent[w] >= 0 and not self.active[w] and not self.children[w]:
+            p = self.parent[w]
+            self.children[p].remove(w)
+            self.parent[w] = -1
+            self.alive -= 1
+            w = p
+
     def trace(self, nid: int) -> list:
+        """Node ids from the root to nid."""
         out = []
         while nid >= 0:
-            out.append(self._configs[nid].copy())
+            out.append(int(nid))
             nid = self.parent[nid]
         out.reverse()
         return out
 
     def audit_costs(self, tol: float = 1e-9) -> None:
-        """Raise AuditError unless stored costs equal the parent-chain sums."""
+        """Raise AuditError unless stored costs equal the parent-chain sums.
+
+        Walks the children lists from the root: each reached node must name
+        the node that lists it as its parent and store that parent's cost
+        plus its edge length, and exactly `alive` nodes must be reached.
+        """
         seen = 0
-        stack = [0]
+        stack = [(0, -1)]
         while stack:
-            w = stack.pop()
-            seen += 1
-            p = self.parent[w]
+            w, p = stack.pop()
+            if self.parent[w] != p:
+                raise AuditError(f"node {w} is listed under {p} but names parent {self.parent[w]}")
             want = 0.0 if p < 0 else self.cost[p] + self.edge_len[w]
             if abs(self.cost[w] - want) > tol:
                 raise AuditError(
                     f"cost mismatch at node {w}: stored {self.cost[w]}, chain {want}"
                 )
-            stack.extend(self.children[w])
-        if seen != self.size:
+            seen += 1
+            stack.extend((c, w) for c in self.children[w])
+        if seen != self.alive:
             raise AuditError("tree contains unreachable or cyclic nodes")
 
 
@@ -337,13 +368,8 @@ def _normalize_checkpoints(checkpoints, n: int) -> list:
     return cps
 
 
-def _draw_free(stream, run, max_attempts: int, margin: float = 0.0):
-    q = sample_free(stream, run.scenario, max_attempts, margin)
-    return q
-
-
-def _trivial_result(run, start, checkpoints):
-    path = Path(waypoints=(start.copy(),), cost=0.0)
+def _trivial_result(run, path, checkpoints):
+    """Result for a start already inside the goal: the one-state path at cost 0."""
     cps = [(c, 0.0) for c in checkpoints]
     stats = [run.stat(c, 0.0, 1, 0) for c in checkpoints]
     return run.result(path, 0.0, cps, stats)
@@ -445,7 +471,7 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
                 pair_a.append(min(vid, u))
                 pair_b.append(max(vid, u))
         else:
-            ids, _ = index.within_radius_arrays(pts[vid], r)
+            ids, _ = index.within_radius(pts[vid], r)
             ids = ids[ids > vid]
             pair_a.extend([vid] * len(ids))
             pair_b.extend(int(u) for u in ids)
@@ -507,7 +533,7 @@ def prm_star(
         raise UsageError("start configuration is invalid")
     cps = _normalize_checkpoints(checkpoints, n)
     if goal.contains(start):
-        return _trivial_result(run, start, cps)
+        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
 
     d = scenario.dimension
     configs = np.empty((n + 2, d), dtype=float)
@@ -515,7 +541,7 @@ def prm_star(
     configs[1] = goal.center
     for i in range(n):
         run.samples += 1
-        configs[2 + i] = _draw_free(stream, run, max_attempts, margin)
+        configs[2 + i] = sample_free(stream, scenario, max_attempts, margin)
 
     if stream.kind == "halton" and rule.rule not in ("k_prm_star",):
         # deterministic-sampling guard: the radius must dominate the
@@ -579,7 +605,7 @@ def rrt(
         raise UsageError("start configuration is invalid")
     cps = _normalize_checkpoints(checkpoints, n)
     if goal.contains(start):
-        return _trivial_result(run, start, cps)
+        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
 
     tree = SearchTree(start)
     index = NeighborIndex(scenario.dimension)
@@ -593,7 +619,7 @@ def rrt(
         if stream.next_uniform01() < goal_bias:
             target = goal.center
         else:
-            target = _draw_free(stream, run, max_attempts)
+            target = sample_free(stream, scenario, max_attempts)
         run.nn_queries += 1
         near = index.nearest_id(target)
         v = steer(tree.config(near), target, eta)
@@ -611,9 +637,8 @@ def rrt(
     path = None
     best = None
     if solution >= 0:
-        waypoints = tuple(tree.trace(solution))
         best = float(tree.cost[solution])
-        path = Path(waypoints=waypoints, cost=best)
+        path = Path(waypoints=tuple(tree.configs[tree.trace(solution)]), cost=best)
     return run.result(path, best, records, stats)
 
 
@@ -663,7 +688,7 @@ def rrt_star(
         raise UsageError("start configuration is invalid")
     cps = _normalize_checkpoints(checkpoints, n)
     if goal.contains(start):
-        return _trivial_result(run, start, cps)
+        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
 
     if rule.rule == "rrt_star_revised" and rule.c_star_estimate is None:
         rule = replace(rule, c_star_estimate=scenario.diagonal * scenario.dimension)
@@ -689,7 +714,7 @@ def rrt_star(
         if stream.next_uniform01() < goal_bias:
             target = goal.center
         else:
-            target = _draw_free(stream, run, max_attempts)
+            target = sample_free(stream, scenario, max_attempts)
         run.nn_queries += 1
         near = index.nearest_id(target)
         v = steer(tree.config(near), target, eta)
@@ -701,7 +726,7 @@ def rrt_star(
                 r = coef * (math.log(nv) / nv) ** exponent
             r = min(r, eta_max)
             run.nn_queries += 1
-            ids, dists = index.within_radius_arrays(v, r)
+            ids, dists = index.within_radius(v, r)
             if ids.shape[0]:
                 valid = checker.edges_valid(
                     np.broadcast_to(v, (ids.shape[0], v.shape[0])), tree.configs[ids]
@@ -740,5 +765,5 @@ def rrt_star(
     path = None
     if best is not None:
         node = min(goal_nodes, key=lambda g: (tree.cost[g], g))
-        path = Path(waypoints=tuple(tree.trace(node)), cost=float(tree.cost[node]))
+        path = Path(waypoints=tuple(tree.configs[tree.trace(node)]), cost=float(tree.cost[node]))
     return run.result(path, best, records, stats)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AuditError, UsageError
 from .geometry import CollisionChecker, Scenario
-from .geometric import PlanResult, _Run, _normalize_checkpoints
+from .geometric import PlanResult, SearchTree, _Run, _normalize_checkpoints, _trivial_result
 
 
 @dataclass(frozen=True)
@@ -197,92 +197,15 @@ class Trajectory:
         return self.states
 
 
-class _KinoTree:
-    """Array-backed forward tree; node cost is accumulated duration."""
-
-    def __init__(self, root_state: np.ndarray, control_dim: int, capacity: int = 512):
-        s = root_state.shape[0]
-        self.states = np.empty((capacity, s))
-        self.controls = np.zeros((capacity, control_dim))
-        self.durations = np.zeros(capacity)
-        self.cost = np.zeros(capacity)
-        self.parent = np.full(capacity, -1, dtype=np.int64)
-        self.child_count = np.zeros(capacity, dtype=np.int64)
-        self.active = np.zeros(capacity, dtype=bool)
-        self.removed = np.zeros(capacity, dtype=bool)
-        self.size = 0
-        self.alive = 0
-        self._add(root_state, -1, None, 0.0)
-
-    def _grow(self):
-        grow = self.states.shape[0]
-        self.states = np.vstack([self.states, np.empty_like(self.states)])
-        self.controls = np.vstack([self.controls, np.zeros_like(self.controls)])
-        self.durations = np.concatenate([self.durations, np.zeros(grow)])
-        self.cost = np.concatenate([self.cost, np.zeros(grow)])
-        self.parent = np.concatenate([self.parent, np.full(grow, -1, dtype=np.int64)])
-        self.child_count = np.concatenate([self.child_count, np.zeros(grow, dtype=np.int64)])
-        self.active = np.concatenate([self.active, np.zeros(grow, dtype=bool)])
-        self.removed = np.concatenate([self.removed, np.zeros(grow, dtype=bool)])
-
-    def _add(self, state, parent, control, duration):
-        if self.size == self.states.shape[0]:
-            self._grow()
-        nid = self.size
-        self.states[nid] = state
-        self.parent[nid] = parent
-        if control is not None:
-            self.controls[nid] = control
-        self.durations[nid] = duration
-        self.cost[nid] = duration if parent < 0 else self.cost[parent] + duration
-        self.active[nid] = True
-        if parent >= 0:
-            self.child_count[parent] += 1
-        self.size += 1
-        self.alive += 1
-        return nid
-
-    def add(self, state, parent, control, duration):
-        return self._add(state, parent, control, duration)
-
-    def deactivate_and_prune(self, nid: int):
-        """Deactivate nid, then drop any resulting chain of dead leaves."""
-        self.active[nid] = False
-        w = nid
-        while w > 0 and not self.active[w] and self.child_count[w] == 0 and not self.removed[w]:
-            self.removed[w] = True
-            self.alive -= 1
-            p = self.parent[w]
-            self.child_count[p] -= 1
-            w = p
-
-    def trace(self, nid: int) -> Trajectory:
-        states, controls, durations = [], [], []
-        w = nid
-        while w >= 0:
-            states.append(self.states[w].copy())
-            if self.parent[w] >= 0:
-                controls.append(self.controls[w].copy())
-                durations.append(float(self.durations[w]))
-            w = self.parent[w]
-        states.reverse()
-        controls.reverse()
-        durations.reverse()
-        return Trajectory(
-            states=tuple(states),
-            controls=tuple(controls),
-            durations=tuple(durations),
-            cost=float(self.cost[nid]),
-        )
-
-    def audit_costs(self, tol: float = 1e-9):
-        for w in range(self.size):
-            if self.removed[w]:
-                continue
-            p = self.parent[w]
-            want = 0.0 if p < 0 else self.cost[p] + self.durations[w]
-            if abs(self.cost[w] - want) > tol:
-                raise AuditError(f"kinodynamic cost mismatch at node {w}")
+def _trajectory(tree: SearchTree, nid: int) -> Trajectory:
+    """The root-to-nid chain of a kinodynamic tree as a Trajectory."""
+    ids = tree.trace(nid)
+    return Trajectory(
+        states=tuple(tree.configs[ids]),
+        controls=tuple(tree.controls[ids[1:]]),
+        durations=tuple(tree.edge_len[ids[1:]].tolist()),
+        cost=float(tree.cost[nid]),
+    )
 
 
 def _goal_hit(system, goal, state) -> bool:
@@ -297,13 +220,6 @@ def _start_state(system, scenario) -> np.ndarray:
     out = np.zeros(system.state_dim)
     out[: start.shape[0]] = start
     return out
-
-
-def _trivial_kino(run, state, checkpoints):
-    traj = Trajectory(states=(state.copy(),), controls=(), durations=(), cost=0.0)
-    cps = [(c, 0.0) for c in checkpoints]
-    stats = [run.stat(c, 0.0, 1, 0) for c in checkpoints]
-    return run.result(traj, 0.0, cps, stats)
 
 
 def sst_plan(
@@ -350,10 +266,10 @@ def sst_plan(
     run = _Run(scenario, checker, t0)
     cps = _normalize_checkpoints(checkpoints, iterations)
     root = _start_state(system, scenario)
+    tree = SearchTree(root, control_dim=system.control_dim)
     if _goal_hit(system, goal, root):
-        return _trivial_kino(run, root, cps)
+        return _trivial_result(run, _trajectory(tree, 0), cps)
 
-    tree = _KinoTree(root, system.control_dim)
     wit_states = np.empty((256, system.state_dim))
     wit_rep = np.empty(256, dtype=np.int64)
     wit_radius = np.empty(256)
@@ -372,7 +288,7 @@ def sst_plan(
         run.samples += 1
         x_rand = system.sample_state(stream, scenario)
         run.nn_queries += 1
-        dists = system.distances(tree.states[: tree.size], x_rand)
+        dists = system.distances(tree.configs, x_rand)
         active = tree.active[: tree.size]
         near_mask = active & (dists <= delta_bn)
         if near_mask.any():
@@ -382,7 +298,7 @@ def sst_plan(
             d_act = np.where(active, dists, np.inf)
             sel = int(np.argmin(d_act))
 
-        traj, control, duration = monte_carlo_propagate(system, tree.states[sel], stream)
+        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
         if checker.states_valid(system.positions(traj[1:])):
             new_state = traj[-1]
             new_cost = float(tree.cost[sel]) + duration
@@ -404,12 +320,12 @@ def sst_plan(
                 if accept:
                     tree.deactivate_and_prune(rep)
             if accept:
-                nid = tree.add(new_state, sel, control, duration)
+                nid = tree.add(new_state, sel, duration, control)
                 wit_rep[w] = nid
                 wit_radius[w] = delta_s
                 if _goal_hit(system, goal, new_state) and (best is None or new_cost < best):
                     best = new_cost
-                    best_traj = tree.trace(nid)
+                    best_traj = _trajectory(tree, nid)
 
         if shrink is not None and it % period == 0:
             delta_bn *= xi
@@ -434,9 +350,9 @@ def _sst_audit(tree, system, wit_states, wit_rep, wit_radius, n_wit):
         raise AuditError("active nodes and witness representatives differ")
     for i in range(n_wit):
         rep = int(reps[i])
-        if tree.removed[rep] or not tree.active[rep]:
+        if not tree.active[rep]:
             raise AuditError(f"witness {i} has a dead representative")
-        d = float(system.distances(tree.states[rep][None, :], wit_states[i])[0])
+        d = float(system.distances(tree.config(rep), wit_states[i])[0])
         if d > wit_radius[i] + 1e-12:
             raise AuditError(f"representative strayed {d} from witness {i}")
     tree.audit_costs()
@@ -485,10 +401,10 @@ def ao_rrt_plan(
     run = _Run(scenario, checker, t0)
     cps = _normalize_checkpoints(checkpoints, iterations)
     root = _start_state(system, scenario)
+    tree = SearchTree(root, control_dim=system.control_dim)
     if _goal_hit(system, goal, root):
-        return _trivial_kino(run, root, cps)
+        return _trivial_result(run, _trajectory(tree, 0), cps)
 
-    tree = _KinoTree(root, system.control_dim)
     best = None
     best_traj = None
     bounds_hist = []
@@ -501,20 +417,20 @@ def ao_rrt_plan(
         x_rand = system.sample_state(stream, scenario)
         c_rand = stream.next_uniform01() * (bound if math.isfinite(bound) else sample_scale)
         run.nn_queries += 1
-        dists = system.distances(tree.states[: tree.size], x_rand)
+        dists = system.distances(tree.configs, x_rand)
         dists = dists + w_eff * np.abs(tree.cost[: tree.size] - c_rand)
         dists = np.where(tree.active[: tree.size], dists, np.inf)
         sel = int(np.argmin(dists))
 
-        traj, control, duration = monte_carlo_propagate(system, tree.states[sel], stream)
+        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
         new_cost = float(tree.cost[sel]) + duration
         if new_cost <= bound and checker.states_valid(system.positions(traj[1:])):
             new_state = traj[-1]
-            nid = tree.add(new_state, sel, control, duration)
+            nid = tree.add(new_state, sel, duration, control)
             if _goal_hit(system, goal, new_state) and new_cost < bound:
                 bound = new_cost
                 best = new_cost
-                best_traj = tree.trace(nid)
+                best_traj = _trajectory(tree, nid)
                 bounds_hist.append(bound)
                 # drop everything the new bound rules out
                 live = tree.active[: tree.size]
@@ -554,23 +470,22 @@ def cost_bounded_rrt(
     if goal is None:
         raise UsageError("scenario has no goal region")
     checker = CollisionChecker(scenario, resolution)
-    root = _start_state(system, scenario)
-    if _goal_hit(system, goal, root):
-        return Trajectory(states=(root.copy(),), controls=(), durations=(), cost=0.0), 0.0
-    tree = _KinoTree(root, system.control_dim)
+    tree = SearchTree(_start_state(system, scenario), control_dim=system.control_dim)
+    if _goal_hit(system, goal, tree.config(0)):
+        return _trajectory(tree, 0), 0.0
     for _ in range(iterations):
         x_rand = system.sample_state(stream, scenario)
-        dists = system.distances(tree.states[: tree.size], x_rand)
+        dists = system.distances(tree.configs, x_rand)
         sel = int(np.argmin(dists))
-        traj, control, duration = monte_carlo_propagate(system, tree.states[sel], stream)
+        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
         new_cost = float(tree.cost[sel]) + duration
         if new_cost >= bound:
             continue
         if not checker.states_valid(system.positions(traj[1:])):
             continue
-        nid = tree.add(traj[-1], sel, control, duration)
+        nid = tree.add(traj[-1], sel, duration, control)
         if _goal_hit(system, goal, traj[-1]):
-            return tree.trace(nid), new_cost
+            return _trajectory(tree, nid), new_cost
     return None
 
 

@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import SaturationError, UsageError
-from .geometric import PlanResult, _Run, _normalize_checkpoints, prm_star
+from .errors import AuditError, SaturationError, UsageError
+from .geometric import PlanResult, SearchTree, _Run, _normalize_checkpoints, prm_star
 from .geometry import CollisionChecker, Scenario, points_valid
 
 # a tensor vertex is one roadmap vertex id per robot
@@ -114,8 +114,12 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
     return True
 
 
-class _TensorTree:
-    """Tree over discovered tensor vertices; never enumerates the product graph."""
+class _TensorTree(SearchTree):
+    """Tree over discovered tensor vertices; never enumerates the product graph.
+
+    A node's configuration is its tensor vertex's per-robot positions,
+    concatenated; the tree bookkeeping is SearchTree's.
+    """
 
     def __init__(self, scenario, roadmaps, radii, rho, root_key):
         self.scenario = scenario
@@ -126,17 +130,13 @@ class _TensorTree:
         self.d = scenario.dimension
         self.keys = []
         self.key_to_id = {}
-        self.flat = np.empty((256, self.r * self.d))
-        self.cost = np.zeros(256)
-        self.edge_w = np.zeros(256)
-        self.parent = np.full(256, -1, dtype=np.int64)
-        self.children = [[] for _ in range(256)]
         # per robot: roadmap vertex -> ids of the tree vertices standing on it
         self.buckets = [{v: [] for v in rm.vertices} for rm in roadmaps]
         # per robot: vertex -> closed_neighborhood(i, vertex)
         self.closed = [{} for _ in range(self.r)]
         self.edge_ok = set()
-        self.add(root_key, -1, 0.0)
+        super().__init__(self.config_of(root_key))
+        self._index(root_key, 0)
 
     def config_of(self, key) -> np.ndarray:
         return np.concatenate([
@@ -150,33 +150,19 @@ class _TensorTree:
         )
 
     def add(self, key, parent: int, edge_cost: float) -> int:
-        nid = len(self.keys)
-        if nid == self.flat.shape[0]:
-            grow = self.flat.shape[0]
-            self.flat = np.vstack([self.flat, np.empty_like(self.flat)])
-            self.cost = np.concatenate([self.cost, np.zeros(grow)])
-            self.edge_w = np.concatenate([self.edge_w, np.zeros(grow)])
-            self.parent = np.concatenate([self.parent, np.full(grow, -1, dtype=np.int64)])
-            self.children.extend([] for _ in range(grow))
-        self.keys.append(key)
-        self.key_to_id[key] = nid
-        self.flat[nid] = self.config_of(key)
-        self.cost[nid] = 0.0 if parent < 0 else self.cost[parent] + edge_cost
-        self.edge_w[nid] = edge_cost
-        self.parent[nid] = parent
-        if parent >= 0:
-            self.children[parent].append(nid)
-        for bucket, v in zip(self.buckets, key):
-            bucket[v].append(nid)
+        nid = super().add(self.config_of(key), parent, edge_cost)
+        self._index(key, nid)
         return nid
 
-    def size(self) -> int:
-        return len(self.keys)
+    def _index(self, key, nid: int) -> None:
+        self.keys.append(key)
+        self.key_to_id[key] = nid
+        for bucket, v in zip(self.buckets, key):
+            bucket[v].append(nid)
 
     def nearest(self, q_flat: np.ndarray) -> int:
         """Tree vertex minimizing the summed per-robot Euclidean distance."""
-        n = self.size()
-        diff = (self.flat[:n] - q_flat).reshape(n, self.r, self.d)
+        diff = (self.configs - q_flat).reshape(-1, self.r, self.d)
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
         return int(np.argmin(dist))
 
@@ -199,7 +185,7 @@ class _TensorTree:
         norm that can differ in the last ulp, so they are not used.
         """
         ids = list(ids)
-        diff = (self.flat[ids] - self.config_of(key)).reshape(len(ids), self.r, self.d)
+        diff = (self.configs[ids] - self.config_of(key)).reshape(len(ids), self.r, self.d)
         steps = np.sqrt(np.vecdot(diff, diff))
         total = steps[:, 0]
         for i in range(1, self.r):
@@ -235,31 +221,13 @@ class _TensorTree:
             self.edge_ok.add(pair)
         return ok
 
-    def reparent(self, nid: int, new_parent: int, edge_cost: float) -> None:
-        old = self.parent[nid]
-        if old >= 0:
-            self.children[old].remove(nid)
-        self.parent[nid] = new_parent
-        self.children[new_parent].append(nid)
-        self.edge_w[nid] = edge_cost
-        stack = [nid]
-        while stack:
-            w = stack.pop()
-            p = self.parent[w]
-            self.cost[w] = self.cost[p] + self.edge_w[w] if p >= 0 else 0.0
-            stack.extend(self.children[w])
-
     def audit_costs(self, tol: float = 1e-9) -> None:
-        from .errors import AuditError
-
-        for nid in range(self.size()):
-            p = self.parent[nid]
-            if p < 0:
-                want = 0.0
-            else:
-                want = self.cost[p] + self.edge_costs(self.keys[nid], [p])[p]
-            if abs(self.cost[nid] - want) > tol:
-                raise AuditError(f"tensor tree cost mismatch at {nid}")
+        """Recheck every stored edge length against edge_costs, then the core audit."""
+        for nid in range(1, self.size):
+            p = int(self.parent[nid])
+            if abs(self.edge_len[nid] - self.edge_costs(self.keys[nid], [p])[p]) > tol:
+                raise AuditError(f"tensor tree edge length mismatch at {nid}")
+        super().audit_costs(tol)
 
 
 def _expand_candidate(tree: _TensorTree, q_rand: CompositeConfig):
@@ -418,24 +386,19 @@ def drrt_star(
         # deterministic sweep so relaxations reach vertices greedy
         # expansion never targets; keeps the discovered subgraph at the
         # Bellman fixed point given enough iterations
-        relax_vertex(it % tree.size())
+        relax_vertex(it % tree.size)
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
         if it in cp:
             best = current_best()
             records.append((it, best))
-            stats.append(run.stat(it, best, tree.size(), max(0, tree.size() - 1)))
+            stats.append(run.stat(it, best, tree.size, max(0, tree.size - 1)))
 
     best = current_best()
     path = None
     if best is not None:
         node = min(goal_ids, key=lambda g: (tree.cost[g], g))
-        chain = []
-        w = node
-        while w >= 0:
-            chain.append(tree.keys[w])
-            w = tree.parent[w]
-        chain.reverse()
+        chain = [tree.keys[w] for w in tree.trace(node)]
         per_robot = tuple(
             np.array([roadmaps[i].vertices[k[i]] for k in chain])
             for i in range(len(robots))

@@ -67,20 +67,7 @@ class NeighborIndex:
         return self.k_nearest(q, 1)[0][0]
 
     def within_radius(self, q, r: float):
-        """All points with distance <= r (closed ball), ascending, ties by id."""
-        if self._size == 0:
-            raise UsageError("index is empty")
-        if r <= 0.0:
-            raise UsageError("radius must be > 0")
-        q = np.asarray(q, dtype=float)
-        dists = self._distances(q)
-        ids = self._ids[: self._size]
-        cand = np.nonzero(dists <= r)[0]
-        order = cand[np.lexsort((ids[cand], dists[cand]))]
-        return [(int(ids[i]), float(dists[i])) for i in order]
-
-    def within_radius_arrays(self, q, r: float):
-        """within_radius without the list-of-tuples packaging (hot path)."""
+        """Points within distance r (closed ball): (ids, dists) arrays by ascending (dist, id)."""
         if self._size == 0:
             raise UsageError("index is empty")
         if r <= 0.0:

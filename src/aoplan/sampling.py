@@ -100,11 +100,6 @@ def make_stream(dimension: int, sampler: str = "uniform", seed: int = 0):
     raise UsageError(f"unknown sampler {sampler!r}")
 
 
-def next_sample(stream, domain: Box) -> np.ndarray:
-    """Draw the stream's next point inside the domain box."""
-    return stream.next_point(domain)
-
-
 def sample_free(stream, scenario: Scenario, max_attempts: int,
                 margin: float = 0.0) -> np.ndarray:
     """First emitted sample that is valid; SaturationError when the budget runs out."""

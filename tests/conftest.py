@@ -49,3 +49,21 @@ def pocket_scenario():
         "start": [0.15, 0.15],
         "goal": {"center": [0.9, 0.9], "radius": 0.02},
     })
+
+
+def assert_golden(res, golden):
+    """Compare a PlanResult with values recorded from an earlier build, bit for bit.
+
+    The path is compared as plain lists: `waypoints` for a Path; `states`,
+    `controls` and `durations` for a Trajectory.
+    """
+    assert repr(res.best_cost) == golden["best_cost"]
+    assert res.checkpoints == golden["checkpoints"]
+    assert res.checkpoint_stats == golden["stats"]
+    assert res.counters == golden["counters"]
+    assert res.bounds == golden.get("bounds")
+    assert repr(res.path.cost) == golden["best_cost"]
+    for name in ("waypoints", "states", "controls", "durations"):
+        if name in golden:
+            got = [np.asarray(x).tolist() for x in getattr(res.path, name)]
+            assert got == golden[name], name

@@ -195,7 +195,7 @@ def test_criterion_3_nn_oracle_equivalence():
             if [i for i, _ in idx.k_nearest(q, k)] != oracle(tuple(q), k=k):
                 mismatches += 1
         for r in (0.05, 0.2):
-            if [i for i, _ in idx.within_radius(q, r)] != oracle(tuple(q), radius=r):
+            if idx.within_radius(q, r)[0].tolist() != oracle(tuple(q), radius=r):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     verdict("C3 nn-oracle", mismatches == 0 and elapsed < 5.0,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoplan import (
     AuditError,
@@ -22,7 +23,7 @@ from aoplan import (
     shortest_path,
 )
 
-from conftest import OPT_BOX, OPT_EMPTY, pocket_scenario
+from conftest import OPT_BOX, OPT_EMPTY, assert_golden, pocket_scenario
 
 
 def dijkstra_reference(roadmap):
@@ -264,6 +265,63 @@ def test_rrt_star_deterministic(empty_square):
     assert a.counters == b.counters
 
 
+# golden values recorded before the tree planners shared one tree core
+GOLDEN_RRT = {
+    "best_cost": "1.0646622257648624",
+    "checkpoints": [(1500, 1.0646622257648624), (3000, 1.0646622257648624)],
+    "stats": [
+        {"n": 1500, "cost": 1.0646622257648624, "nodes": 1421, "edges": 1420,
+         "collision_checks": 1421, "work": 4421},
+        {"n": 3000, "cost": 1.0646622257648624, "nodes": 2865, "edges": 2864,
+         "collision_checks": 2865, "work": 8865},
+    ],
+    "counters": {"samples": 3000, "collision_checks": 2865, "nn_queries": 3000, "rewires": 0},
+    "waypoints": [[0.1, 0.5],
+                  [0.13600961406204884, 0.4067084800472074],
+                  [0.1959414374344178, 0.3266573929386417],
+                  [0.2824827157123483, 0.2765514336720854],
+                  [0.3753839572319461, 0.3135562890848195],
+                  [0.4747423981024017, 0.3022469907957044],
+                  [0.5466937184392959, 0.2327991146454747],
+                  [0.6264523890109045, 0.2931195462474586],
+                  [0.7062110595825131, 0.3534399778494426],
+                  [0.7445080398202994, 0.4458160640658796],
+                  [0.8389389024285477, 0.4787221757635892],
+                  [0.9, 0.5]],
+}
+
+
+GOLDEN_RRT_STAR = {
+    "best_cost": "0.8222315485253253",
+    "checkpoints": [(800, 0.8420741686910704), (1600, 0.8222315485253253)],
+    "stats": [
+        {"n": 800, "cost": 0.8420741686910704, "nodes": 760, "edges": 759,
+         "collision_checks": 30542, "work": 33831},
+        {"n": 1600, "cost": 0.8222315485253253, "nodes": 1514, "edges": 1513,
+         "collision_checks": 119417, "work": 126092},
+    ],
+    "counters": {"samples": 1600, "collision_checks": 119417, "nn_queries": 3113, "rewires": 1962},
+    "waypoints": [[0.1, 0.5],
+                  [0.27600249333027593, 0.5568616278030506],
+                  [0.4220011640529241, 0.6081179445528694],
+                  [0.5935642363382473, 0.6012111590114165],
+                  [0.6512967506742451, 0.5916893529364848],
+                  [0.7985518373411815, 0.5409870614907133],
+                  [0.8860004581999014, 0.49998663285432043]],
+}
+
+
+def test_rrt_golden(box_square):
+    res = rrt(box_square, UniformStream(2, 21), 3000, eta=0.1, checkpoints=(1500, 3000))
+    assert_golden(res, GOLDEN_RRT)
+
+
+def test_rrt_star_golden(box_square):
+    res = rrt_star(box_square, UniformStream(2, 22), 1600, eta=0.1,
+                   checkpoints=(800, 1600), audit_every=200)
+    assert_golden(res, GOLDEN_RRT_STAR)
+
+
 def test_rrt_star_rejects_k_rule(empty_square):
     with pytest.raises(UsageError):
         rrt_star(empty_square, UniformStream(2, 0), 100, eta=0.1,
@@ -297,11 +355,127 @@ def test_search_tree_audit_detects_corruption():
         tree.audit_costs()
 
 
+def _chain(nodes, step=1.0):
+    """A tree whose nodes form one chain root -> 1 -> ... -> nodes."""
+    tree = SearchTree(np.zeros(2))
+    for i in range(nodes):
+        tree.add(np.array([i + 1.0, 0.0]), i, step)
+    return tree
+
+
+def test_search_tree_audit_detects_unreachable_node():
+    tree = _chain(2)
+    tree.children[0].remove(1)
+    with pytest.raises(AuditError):
+        tree.audit_costs()
+
+
+def test_search_tree_audit_detects_parent_cycle():
+    # 1 and 2 point at each other, detached from the root
+    tree = _chain(3)
+    tree.children[0].remove(1)
+    tree.parent[1] = 2
+    tree.children[2].append(1)
+    with pytest.raises(AuditError):
+        tree.audit_costs()
+    # the same cycle still listed under the root must not loop forever
+    tree = _chain(3)
+    tree.children[2].append(1)
+    with pytest.raises(AuditError):
+        tree.audit_costs()
+
+
+def test_search_tree_audit_detects_parent_not_matching_children_lists():
+    tree = _chain(2)
+    b = tree.add(np.array([0.0, 1.0]), 0, 1.0)
+    # node 2 stays listed under 1 but names 1's equal-cost sibling as parent
+    tree.parent[2] = b
+    with pytest.raises(AuditError):
+        tree.audit_costs()
+
+
+def test_prune_stops_at_active_node_and_at_root():
+    tree = _chain(3)
+    tree.active[1] = False
+    tree.deactivate_and_prune(3)
+    # 2 is still active, so only 3 goes
+    assert tree.alive == 3 and tree.children[2] == [] and tree.parent[3] == -1
+    tree.deactivate_and_prune(2)
+    # 1 is inactive and now a leaf, so it goes too; the root stays
+    assert tree.alive == 1 and tree.children[0] == []
+    tree.audit_costs()
+
+    tree = _chain(1)
+    tree.deactivate_and_prune(0)
+    assert tree.alive == 2  # an inactive root with a child stays whole
+    tree.deactivate_and_prune(1)
+    assert tree.alive == 1 and tree.size == 2 and tree.parent[0] == -1
+    tree.audit_costs()
+
+
+def test_prune_stops_at_node_with_children():
+    tree = _chain(1)
+    b = tree.add(np.array([1.0, 1.0]), 1, 1.0)
+    c = tree.add(np.array([2.0, 1.0]), 1, 1.0)
+    tree.active[1] = False
+    tree.deactivate_and_prune(b)
+    assert tree.alive == 3 and tree.children[1] == [c]
+    tree.audit_costs()
+
+
+def _attached(tree):
+    """Nodes whose parent chain reaches the root, by brute force."""
+    out = []
+    for w in range(tree.size):
+        v = w
+        while v > 0:
+            v = tree.parent[v]
+        if v == 0:
+            out.append(w)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(("add", "reparent", "prune")), st.integers(0, 10**6),
+              st.integers(0, 10**6), st.floats(0.0, 10.0)),
+    max_size=80,
+))
+def test_search_tree_random_operations_keep_costs_coherent(ops):
+    tree = SearchTree(np.zeros(2), capacity=4)
+    for op, i, j, length in ops:
+        attached = _attached(tree)
+        if op == "add":
+            tree.add(np.array([length, float(i)]), attached[i % len(attached)], length)
+        elif op == "reparent" and len(attached) > 1:
+            nid = attached[1:][i % (len(attached) - 1)]
+            below = set()
+            stack = [nid]
+            while stack:
+                w = stack.pop()
+                below.add(w)
+                stack.extend(tree.children[w])
+            targets = [w for w in attached if w not in below]
+            tree.reparent(nid, targets[j % len(targets)], length)
+        elif op == "prune":
+            tree.deactivate_and_prune(attached[i % len(attached)])
+        attached = _attached(tree)
+        assert tree.alive == len(attached)
+        for w in attached:
+            chain = 0.0
+            for v in tree.trace(w)[1:]:
+                chain += tree.edge_len[v]
+            assert tree.cost[w] == chain
+        tree.audit_costs()
+
+
 def test_search_tree_trace_order():
     tree = SearchTree(np.array([0.0, 0.0]))
     a = tree.add(np.array([1.0, 0.0]), 0, 1.0)
     b = tree.add(np.array([1.0, 1.0]), a, 1.0)
-    wp = tree.trace(b)
+    ids = tree.trace(b)
+    assert ids == [0, a, b]
+    wp = tree.configs[ids]
     assert np.allclose(wp[0], (0, 0))
     assert np.allclose(wp[-1], (1, 1))
     assert len(wp) == 3

@@ -61,9 +61,9 @@ def test_within_radius_closed_ball():
     idx = NeighborIndex(2)
     idx.insert(0, (0.0, 0.0))
     idx.insert(1, (1.0, 0.0))
-    assert [i for i, _ in idx.within_radius((0.0, 0.0), 0.5)] == [0]
+    assert idx.within_radius((0.0, 0.0), 0.5)[0].tolist() == [0]
     # boundary inclusion: distance exactly 1.0 is inside
-    assert [i for i, _ in idx.within_radius((0.0, 0.0), 1.0)] == [0, 1]
+    assert idx.within_radius((0.0, 0.0), 1.0)[0].tolist() == [0, 1]
 
 
 def test_empty_index_and_bad_radius():
@@ -84,8 +84,8 @@ def test_tie_break_by_lower_id():
     idx.insert(9, (1.0, 0.0))
     got = idx.k_nearest((0.0, 0.0), 3)
     assert [i for i, _ in got] == [2, 5, 9]
-    got_r = idx.within_radius((0.0, 0.0), 2.0)
-    assert [i for i, _ in got_r] == [2, 5, 9]
+    got_r, _ = idx.within_radius((0.0, 0.0), 2.0)
+    assert got_r.tolist() == [2, 5, 9]
 
 
 def test_matches_linear_scan_on_random_points():
@@ -103,9 +103,9 @@ def test_matches_linear_scan_on_random_points():
             want = linear_scan(items, tuple(q), k=k)
             assert [i for i, _ in got] == [i for i, _ in want]
         for r in (0.05, 0.2):
-            got = idx.within_radius(q, r)
+            got, _ = idx.within_radius(q, r)
             want = linear_scan(items, tuple(q), radius=r)
-            assert [i for i, _ in got] == [i for i, _ in want]
+            assert got.tolist() == [i for i, _ in want]
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,8 +122,8 @@ def test_radius_monotone_and_knn_permutation(pts, q, r1, r2):
     idx = NeighborIndex(2)
     for i, p in enumerate(pts):
         idx.insert(i, p)
-    small = {i for i, _ in idx.within_radius(q, min(r1, r2))}
-    large = {i for i, _ in idx.within_radius(q, max(r1, r2))}
+    small = set(idx.within_radius(q, min(r1, r2))[0].tolist())
+    large = set(idx.within_radius(q, max(r1, r2))[0].tolist())
     assert small <= large
     allk = idx.k_nearest(q, len(pts))
     assert sorted(i for i, _ in allk) == list(range(len(pts)))

@@ -12,7 +12,6 @@ from aoplan import (
     UsageError,
     make_stream,
     measure_dispersion,
-    next_sample,
     radical_inverse,
     sample_free,
     scenario_from_dict,
@@ -27,14 +26,14 @@ def test_halton_first_points_unit_square():
     stream = HaltonStream(2)
     want = [(1 / 2, 1 / 3), (1 / 4, 2 / 3), (3 / 4, 1 / 9)]
     for w in want:
-        got = next_sample(stream, UNIT2)
+        got = stream.next_point(UNIT2)
         assert got == pytest.approx(w, abs=1e-15)
 
 
 def test_halton_1d_scaled_domain():
     stream = HaltonStream(1)
     box = Box(lo=np.array([0.0]), hi=np.array([2.0]))
-    assert next_sample(stream, box)[0] == pytest.approx(1.0, abs=1e-15)
+    assert stream.next_point(box)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_radical_inverse_base3():
