@@ -232,6 +232,12 @@ class SearchTree:
         return self._configs[: self.size]
 
     def reparent(self, nid: int, new_parent: int, new_edge_len: float) -> None:
+        # a parent inside nid's own subtree would close a cycle
+        w = new_parent
+        while w >= 0:
+            if w == nid:
+                raise UsageError(f"cannot reparent node {nid} onto itself or a descendant")
+            w = self.parent[w]
         old = self.parent[nid]
         if old >= 0:
             self.children[old].remove(nid)
@@ -314,12 +320,19 @@ class PlanResult:
 
 
 class _Run:
-    """Shared bookkeeping for one planner execution."""
+    """One planner execution: checker, checkpoints, clock, counters and records.
 
-    def __init__(self, scenario, checker, t0):
+    Planners record a checkpoint with `if it in run.due: run.record(...)`.
+    """
+
+    def __init__(self, scenario, n, checkpoints, resolution=None, margin=0.0):
+        self.t0 = time.perf_counter()
         self.scenario = scenario
-        self.checker = checker
-        self.t0 = t0
+        self.checker = CollisionChecker(scenario, resolution, margin)
+        self.checkpoints = _normalize_checkpoints(checkpoints, n)
+        self.due = set(self.checkpoints)
+        self.records = []
+        self.stats = []
         self.samples = 0
         self.nn_queries = 0
         self.rewires = 0
@@ -335,24 +348,31 @@ class _Run:
     def work(self) -> int:
         return self.samples + self.checker.checks + self.nn_queries + self.rewires
 
-    def stat(self, n, cost, nodes, edges) -> dict:
-        return {
+    def record(self, n, cost, nodes, edges) -> None:
+        self.records.append((n, cost))
+        self.stats.append({
             "n": n,
             "cost": cost,
             "nodes": nodes,
             "edges": edges,
             "collision_checks": self.checker.checks,
             "work": self.work(),
-        }
+        })
 
-    def result(self, path, best, checkpoints, stats, **extra) -> PlanResult:
+    def trivial(self, path) -> PlanResult:
+        """Result for a start already inside the goal: the one-state path at cost 0."""
+        for c in self.checkpoints:
+            self.record(c, 0.0, 1, 0)
+        return self.result(path, 0.0)
+
+    def result(self, path, best, **extra) -> PlanResult:
         return PlanResult(
             path=path,
             best_cost=best,
-            checkpoints=checkpoints,
+            checkpoints=self.records,
             counters=self.counters(),
             elapsed_ms=(time.perf_counter() - self.t0) * 1e3,
-            checkpoint_stats=stats,
+            checkpoint_stats=self.stats,
             **extra,
         )
 
@@ -368,11 +388,21 @@ def _normalize_checkpoints(checkpoints, n: int) -> list:
     return cps
 
 
-def _trivial_result(run, path, checkpoints):
-    """Result for a start already inside the goal: the one-state path at cost 0."""
-    cps = [(c, 0.0) for c in checkpoints]
-    stats = [run.stat(c, 0.0, 1, 0) for c in checkpoints]
-    return run.result(path, 0.0, cps, stats)
+def _kinematic_start(run, start, goal):
+    """Check the goal and, counted, the start: (start, None), or (start, trivial result)."""
+    if goal is None:
+        raise UsageError("scenario has no goal region")
+    start = as_config(start, run.scenario.dimension)
+    if not run.checker.point_valid(start):
+        raise UsageError("start configuration is invalid")
+    if goal.contains(start):
+        return start, run.trivial(Path(waypoints=(start.copy(),), cost=0.0))
+    return start, None
+
+
+def _cheapest(tree, nodes):
+    """(cost, id) of the cheapest of the given tree nodes, lowest id on ties; None if empty."""
+    return min(((float(tree.cost[g]), g) for g in nodes), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +549,14 @@ def prm_star(
     for k_prm_star) through validated edges.  Returns the best path at
     each checkpoint prefix; no path is a result, not an error.
     """
-    t0 = time.perf_counter()
     if n < 2:
         raise UsageError("n must be >= 2")
-    start = as_config(start if start is not None else scenario.start, scenario.dimension)
-    goal = goal if goal is not None else scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
     rule = rule if rule is not None else default_rule("prm_star", scenario)
-    checker = CollisionChecker(scenario, resolution, margin)
-    run = _Run(scenario, checker, t0)
-    if not checker.point_valid(start):
-        raise UsageError("start configuration is invalid")
-    cps = _normalize_checkpoints(checkpoints, n)
-    if goal.contains(start):
-        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
+    run = _Run(scenario, n, checkpoints, resolution, margin)
+    goal = goal if goal is not None else scenario.goal
+    start, done = _kinematic_start(run, start if start is not None else scenario.start, goal)
+    if done:
+        return done
 
     d = scenario.dimension
     configs = np.empty((n + 2, d), dtype=float)
@@ -547,7 +570,7 @@ def prm_star(
         # deterministic-sampling guard: the radius must dominate the
         # dispersion bound n^(-1/d) by the configured factor; the ratio
         # grows with n, so the first checkpoint prefix is the binding one
-        nv = cps[0] + 2
+        nv = run.checkpoints[0] + 2
         r_first = connection_radius(rule, nv)
         bound = rule.gamma_det * nv ** (-1.0 / d)
         if r_first < bound:
@@ -556,20 +579,15 @@ def prm_star(
                 f"{rule.gamma_det} * n^(-1/d)={bound:.6g}; increase n"
             )
 
-    records = []
-    stats = []
     roadmap = None
     path = None
-    for c in cps:
+    for c in run.checkpoints:
         roadmap = _connect_prefix(run, configs, c + 2, rule, goal)
         path = shortest_path(roadmap)
-        cost = path.cost if path is not None else None
-        records.append((c, cost))
-        stats.append(run.stat(c, cost, c + 2, roadmap.num_edges))
+        run.record(c, path.cost if path is not None else None, c + 2, roadmap.num_edges)
 
-    best = records[-1][1]
-    return run.result(path if best is not None else None, best, records, stats,
-                      roadmap=roadmap)
+    best = run.records[-1][1]
+    return run.result(path if best is not None else None, best, roadmap=roadmap)
 
 
 # ---------------------------------------------------------------------------
@@ -588,32 +606,22 @@ def rrt(
     max_attempts: int = 10_000,
 ) -> PlanResult:
     """Classic tree planner: the first goal-ball connection fixes the path."""
-    t0 = time.perf_counter()
     if n < 2:
         raise UsageError("n must be >= 2")
     if eta <= 0.0:
         raise UsageError("eta must be > 0")
     if not 0.0 <= goal_bias <= 1.0:
         raise UsageError("goal_bias must lie in [0, 1]")
-    start = as_config(scenario.start, scenario.dimension)
+    run = _Run(scenario, n, checkpoints, resolution)
     goal = scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
-    checker = CollisionChecker(scenario, resolution)
-    run = _Run(scenario, checker, t0)
-    if not checker.point_valid(start):
-        raise UsageError("start configuration is invalid")
-    cps = _normalize_checkpoints(checkpoints, n)
-    if goal.contains(start):
-        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
+    start, done = _kinematic_start(run, scenario.start, goal)
+    if done:
+        return done
 
     tree = SearchTree(start)
     index = NeighborIndex(scenario.dimension)
     index.insert(0, start)
     solution = -1
-    records = []
-    stats = []
-    cp = set(cps)
     for it in range(1, n + 1):
         run.samples += 1
         if stream.next_uniform01() < goal_bias:
@@ -624,22 +632,20 @@ def rrt(
         near = index.nearest_id(target)
         v = steer(tree.config(near), target, eta)
         if not np.array_equal(v, tree.config(near)):
-            if checker.edge_valid(tree.config(near), v):
+            if run.checker.edge_valid(tree.config(near), v):
                 vid = tree.add(v, near, float(np.linalg.norm(v - tree.config(near))))
                 index.insert(vid, v)
                 if solution < 0 and goal.contains(v):
                     solution = vid
-        if it in cp:
+        if it in run.due:
             cost = float(tree.cost[solution]) if solution >= 0 else None
-            records.append((it, cost))
-            stats.append(run.stat(it, cost, tree.size, tree.size - 1))
+            run.record(it, cost, tree.size, tree.size - 1)
 
-    path = None
-    best = None
-    if solution >= 0:
-        best = float(tree.cost[solution])
-        path = Path(waypoints=tuple(tree.configs[tree.trace(solution)]), cost=best)
-    return run.result(path, best, records, stats)
+    if solution < 0:
+        return run.result(None, None)
+    best = float(tree.cost[solution])
+    path = Path(waypoints=tuple(tree.configs[tree.trace(solution)]), cost=best)
+    return run.result(path, best)
 
 
 def rrt_star(
@@ -665,30 +671,23 @@ def rrt_star(
     the radius rule runs on a conservative optimal-cost estimate (domain
     diagonal times dimension); after that, on the first solution's cost.
     """
-    t0 = time.perf_counter()
     if n < 2:
         raise UsageError("n must be >= 2")
     if eta <= 0.0:
         raise UsageError("eta must be > 0")
     if not 0.0 <= goal_bias <= 1.0:
         raise UsageError("goal_bias must lie in [0, 1]")
-    start = as_config(scenario.start, scenario.dimension)
-    goal = scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
     rule = rule if rule is not None else default_rule("rrt_star_revised", scenario)
     if rule.rule == "k_prm_star":
         raise UsageError("rrt_star needs a radius rule, not the k rule")
     eta_max = 2.0 * eta if eta_max is None else float(eta_max)
     if eta_max <= 0.0:
         raise UsageError("eta_max must be > 0")
-    checker = CollisionChecker(scenario, resolution)
-    run = _Run(scenario, checker, t0)
-    if not checker.point_valid(start):
-        raise UsageError("start configuration is invalid")
-    cps = _normalize_checkpoints(checkpoints, n)
-    if goal.contains(start):
-        return _trivial_result(run, Path(waypoints=(start.copy(),), cost=0.0), cps)
+    run = _Run(scenario, n, checkpoints, resolution)
+    goal = scenario.goal
+    start, done = _kinematic_start(run, scenario.start, goal)
+    if done:
+        return done
 
     if rule.rule == "rrt_star_revised" and rule.c_star_estimate is None:
         rule = replace(rule, c_star_estimate=scenario.diagonal * scenario.dimension)
@@ -700,15 +699,6 @@ def rrt_star(
     index.insert(0, start)
     goal_nodes = []
     first_cost = None
-    records = []
-    stats = []
-    cp = set(cps)
-
-    def current_best():
-        if not goal_nodes:
-            return None
-        return float(min(tree.cost[g] for g in goal_nodes))
-
     for it in range(1, n + 1):
         run.samples += 1
         if stream.next_uniform01() < goal_bias:
@@ -728,7 +718,7 @@ def rrt_star(
             run.nn_queries += 1
             ids, dists = index.within_radius(v, r)
             if ids.shape[0]:
-                valid = checker.edges_valid(
+                valid = run.checker.edges_valid(
                     np.broadcast_to(v, (ids.shape[0], v.shape[0])), tree.configs[ids]
                 )
                 nbrs = ids[valid]
@@ -756,14 +746,12 @@ def rrt_star(
                             run.rewires += 1
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
-        if it in cp:
-            cost = current_best()
-            records.append((it, cost))
-            stats.append(run.stat(it, cost, tree.size, tree.size - 1))
+        if it in run.due:
+            top = _cheapest(tree, goal_nodes)
+            run.record(it, None if top is None else top[0], tree.size, tree.size - 1)
 
-    best = current_best()
-    path = None
-    if best is not None:
-        node = min(goal_nodes, key=lambda g: (tree.cost[g], g))
-        path = Path(waypoints=tuple(tree.configs[tree.trace(node)]), cost=float(tree.cost[node]))
-    return run.result(path, best, records, stats)
+    top = _cheapest(tree, goal_nodes)
+    if top is None:
+        return run.result(None, None)
+    best, node = top
+    return run.result(Path(waypoints=tuple(tree.configs[tree.trace(node)]), cost=best), best)

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AuditError, UsageError
-from .geometry import CollisionChecker, Scenario
-from .geometric import PlanResult, SearchTree, _Run, _normalize_checkpoints, _trivial_result
+from .geometry import Scenario
+from .geometric import PlanResult, SearchTree, _Run
 
 
 @dataclass(frozen=True)
@@ -208,18 +208,38 @@ def _trajectory(tree: SearchTree, nid: int) -> Trajectory:
     )
 
 
-def _goal_hit(system, goal, state) -> bool:
-    pos = system.positions(state[None, :])[0]
-    return float(np.linalg.norm(pos - goal.center)) <= goal.radius
+def _kino_start(scenario, system, iterations, checkpoints, resolution):
+    """(run, tree, None) for a tree rooted at the zero-padded start state.
 
-
-def _start_state(system, scenario) -> np.ndarray:
+    The third item is the trivial result instead when the start lies in
+    the goal.
+    """
+    if iterations < 1:
+        raise UsageError("iterations must be >= 1")
+    if scenario.goal is None:
+        raise UsageError("scenario has no goal region")
     start = np.asarray(scenario.start, dtype=float)
-    if system.state_dim == start.shape[0]:
-        return start.copy()
-    out = np.zeros(system.state_dim)
-    out[: start.shape[0]] = start
-    return out
+    root = np.zeros(system.state_dim)
+    root[: start.shape[0]] = start
+    run = _Run(scenario, iterations, checkpoints, resolution)
+    tree = SearchTree(root, control_dim=system.control_dim)
+    if scenario.goal.contains(system.positions(root)[0]):
+        return run, tree, run.trivial(_trajectory(tree, 0))
+    return run, tree, None
+
+
+def _extend(run, system, stream, tree, sel, admit):
+    """Monte Carlo propagation from node sel, then the checks on the new edge.
+
+    Returns (state, control, duration, cost) of the child, or None when
+    admit(cost) refuses its cost or the trajectory is invalid; the
+    trajectory is only checked once its cost is admitted.
+    """
+    traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
+    cost = float(tree.cost[sel]) + duration
+    if admit(cost) and run.checker.states_valid(system.positions(traj[1:])):
+        return traj[-1], control, duration, cost
+    return None
 
 
 def sst_plan(
@@ -244,9 +264,6 @@ def sst_plan(
     chains are pruned.  With shrink=(xi, period) both radii contract
     geometrically every period iterations.
     """
-    t0 = time.perf_counter()
-    if iterations < 1:
-        raise UsageError("iterations must be >= 1")
     diag = scenario.diagonal
     delta_bn = 0.05 * diag if delta_bn is None else float(delta_bn)
     delta_s = 0.02 * diag if delta_s is None else float(delta_s)
@@ -259,30 +276,20 @@ def sst_plan(
         if int(period) < 1:
             raise UsageError("shrink period must be >= 1")
         period = int(period)
-    goal = scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
-    checker = CollisionChecker(scenario, resolution)
-    run = _Run(scenario, checker, t0)
-    cps = _normalize_checkpoints(checkpoints, iterations)
-    root = _start_state(system, scenario)
-    tree = SearchTree(root, control_dim=system.control_dim)
-    if _goal_hit(system, goal, root):
-        return _trivial_result(run, _trajectory(tree, 0), cps)
+    run, tree, done = _kino_start(scenario, system, iterations, checkpoints, resolution)
+    if done:
+        return done
 
     wit_states = np.empty((256, system.state_dim))
     wit_rep = np.empty(256, dtype=np.int64)
     wit_radius = np.empty(256)
-    wit_states[0] = root
+    wit_states[0] = tree.config(0)
     wit_rep[0] = 0
     wit_radius[0] = delta_s
     n_wit = 1
 
     best = None
     best_traj = None
-    records = []
-    stats = []
-    cp = set(cps)
 
     for it in range(1, iterations + 1):
         run.samples += 1
@@ -298,10 +305,9 @@ def sst_plan(
             d_act = np.where(active, dists, np.inf)
             sel = int(np.argmin(d_act))
 
-        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
-        if checker.states_valid(system.positions(traj[1:])):
-            new_state = traj[-1]
-            new_cost = float(tree.cost[sel]) + duration
+        child = _extend(run, system, stream, tree, sel, lambda cost: True)
+        if child is not None:
+            new_state, control, duration, new_cost = child
             wd = system.distances(wit_states[:n_wit], new_state)
             w = int(np.argmin(wd))
             if wd[w] > delta_s:
@@ -323,7 +329,8 @@ def sst_plan(
                 nid = tree.add(new_state, sel, duration, control)
                 wit_rep[w] = nid
                 wit_radius[w] = delta_s
-                if _goal_hit(system, goal, new_state) and (best is None or new_cost < best):
+                if (scenario.goal.contains(system.positions(new_state)[0])
+                        and (best is None or new_cost < best)):
                     best = new_cost
                     best_traj = _trajectory(tree, nid)
 
@@ -333,11 +340,10 @@ def sst_plan(
 
         if audit_every and it % audit_every == 0:
             _sst_audit(tree, system, wit_states, wit_rep, wit_radius, n_wit)
-        if it in cp:
-            records.append((it, best))
-            stats.append(run.stat(it, best, tree.alive, max(0, tree.alive - 1)))
+        if it in run.due:
+            run.record(it, best, tree.alive, max(0, tree.alive - 1))
 
-    return run.result(best_traj, best, records, stats)
+    return run.result(best_traj, best)
 
 
 def _sst_audit(tree, system, wit_states, wit_rep, wit_radius, n_wit):
@@ -378,14 +384,8 @@ def ao_rrt_plan(
     rejected; every new solution lowers the bound and prunes nodes above
     it, so the stored tree always respects the bound.
     """
-    t0 = time.perf_counter()
-    if iterations < 1:
-        raise UsageError("iterations must be >= 1")
     if cost_weight < 0.0:
         raise UsageError("cost_weight must be >= 0")
-    goal = scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
     # generous duration-cost scale for unit-speed systems
     scale = 2.0 * scenario.diagonal
     if initial_bound is None:
@@ -396,21 +396,13 @@ def ao_rrt_plan(
         bound = float(initial_bound)
     sample_scale = bound if math.isfinite(bound) else scale
     w_eff = cost_weight / sample_scale
-
-    checker = CollisionChecker(scenario, resolution)
-    run = _Run(scenario, checker, t0)
-    cps = _normalize_checkpoints(checkpoints, iterations)
-    root = _start_state(system, scenario)
-    tree = SearchTree(root, control_dim=system.control_dim)
-    if _goal_hit(system, goal, root):
-        return _trivial_result(run, _trajectory(tree, 0), cps)
+    run, tree, done = _kino_start(scenario, system, iterations, checkpoints, resolution)
+    if done:
+        return done
 
     best = None
     best_traj = None
     bounds_hist = []
-    records = []
-    stats = []
-    cp = set(cps)
 
     for it in range(1, iterations + 1):
         run.samples += 1
@@ -422,12 +414,11 @@ def ao_rrt_plan(
         dists = np.where(tree.active[: tree.size], dists, np.inf)
         sel = int(np.argmin(dists))
 
-        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
-        new_cost = float(tree.cost[sel]) + duration
-        if new_cost <= bound and checker.states_valid(system.positions(traj[1:])):
-            new_state = traj[-1]
+        child = _extend(run, system, stream, tree, sel, lambda cost: cost <= bound)
+        if child is not None:
+            new_state, control, duration, new_cost = child
             nid = tree.add(new_state, sel, duration, control)
-            if _goal_hit(system, goal, new_state) and new_cost < bound:
+            if scenario.goal.contains(system.positions(new_state)[0]) and new_cost < bound:
                 bound = new_cost
                 best = new_cost
                 best_traj = _trajectory(tree, nid)
@@ -441,12 +432,11 @@ def ao_rrt_plan(
             if live_costs.size and float(live_costs.max()) > bound + 1e-12:
                 raise AuditError("stored node exceeds the current cost bound")
             tree.audit_costs()
-        if it in cp:
+        if it in run.due:
             live_n = int(tree.active[: tree.size].sum())
-            records.append((it, best))
-            stats.append(run.stat(it, best, live_n, max(0, live_n - 1)))
+            run.record(it, best, live_n, max(0, live_n - 1))
 
-    return run.result(best_traj, best, records, stats, bounds=bounds_hist)
+    return run.result(best_traj, best, bounds=bounds_hist)
 
 
 def cost_bounded_rrt(
@@ -457,36 +447,32 @@ def cost_bounded_rrt(
     iterations: int,
     *,
     resolution: Optional[float] = None,
-):
+) -> PlanResult:
     """Probabilistically complete building block for the meta loop.
 
     Monte Carlo tree search that refuses nodes at or above the bound and
-    returns the first goal-reaching trajectory (strictly below the bound),
-    or None when the budget runs out.
+    stops at the first goal-reaching trajectory (strictly below the
+    bound); the path is None when the budget runs out.  The one
+    checkpoint stat is taken where the search stops.
     """
-    if iterations < 1:
-        raise UsageError("iterations must be >= 1")
-    goal = scenario.goal
-    if goal is None:
-        raise UsageError("scenario has no goal region")
-    checker = CollisionChecker(scenario, resolution)
-    tree = SearchTree(_start_state(system, scenario), control_dim=system.control_dim)
-    if _goal_hit(system, goal, tree.config(0)):
-        return _trajectory(tree, 0), 0.0
-    for _ in range(iterations):
+    run, tree, done = _kino_start(scenario, system, iterations, None, resolution)
+    if done:
+        return done
+    for it in range(1, iterations + 1):
+        run.samples += 1
         x_rand = system.sample_state(stream, scenario)
-        dists = system.distances(tree.configs, x_rand)
-        sel = int(np.argmin(dists))
-        traj, control, duration = monte_carlo_propagate(system, tree.config(sel), stream)
-        new_cost = float(tree.cost[sel]) + duration
-        if new_cost >= bound:
+        run.nn_queries += 1
+        sel = int(np.argmin(system.distances(tree.configs, x_rand)))
+        child = _extend(run, system, stream, tree, sel, lambda cost: cost < bound)
+        if child is None:
             continue
-        if not checker.states_valid(system.positions(traj[1:])):
-            continue
-        nid = tree.add(traj[-1], sel, duration, control)
-        if _goal_hit(system, goal, traj[-1]):
-            return _trajectory(tree, nid), new_cost
-    return None
+        new_state, control, duration, new_cost = child
+        nid = tree.add(new_state, sel, duration, control)
+        if scenario.goal.contains(system.positions(new_state)[0]):
+            run.record(it, new_cost, tree.size, tree.size - 1)
+            return run.result(_trajectory(tree, nid), new_cost)
+    run.record(iterations, None, tree.size, tree.size - 1)
+    return run.result(None, None)
 
 
 def ao_meta(
@@ -497,10 +483,13 @@ def ao_meta(
 ) -> PlanResult:
     """Meta loop: run a cost-bounded planner with geometrically lowering bounds.
 
-    planner(bound, budget) must return (solution, cost) with cost strictly
-    below the bound, or None.  Round 1 runs unbounded; afterwards the bound
-    is (1 - beta) times the best cost.  Stops after `rounds` rounds or the
-    first round that times out.
+    planner(bound, budget) must return a PlanResult: either a path whose
+    best_cost is strictly below the bound, with at least one checkpoint
+    stat, or path None.  Round 1 runs unbounded; afterwards the bound is
+    (1 - beta) times the best cost.  Stops after `rounds` rounds or the
+    first round that times out.  Counters are summed over every round
+    run; each checkpoint stat takes nodes and edges from its round's last
+    stat, and cumulative collision_checks and work.
     """
     t0 = time.perf_counter()
     if not 0.0 < beta < 1.0:
@@ -515,30 +504,31 @@ def ao_meta(
     bounds_hist = []
     records = []
     stats = []
+    totals = {"samples": 0, "collision_checks": 0, "nn_queries": 0, "rewires": 0}
     for k in range(1, rounds + 1):
         bound = math.inf if best is None else (1.0 - beta) * best
         out = planner(bound, budget)
-        if out is None:
+        for key in totals:
+            totals[key] += out.counters[key]
+        if out.path is None:
             break
-        sol, cost = out
-        if not cost < bound:
+        if not out.best_cost < bound:
             raise UsageError("planner returned a solution at or above its bound")
-        best = cost
-        best_sol = sol
-        bounds_hist.append(cost)
+        best = out.best_cost
+        best_sol = out.path
+        bounds_hist.append(best)
         records.append((k * budget, best))
-        nodes = len(sol.states) if hasattr(sol, "states") else 0
+        last = out.checkpoint_stats[-1]
         stats.append({
-            "n": k * budget, "cost": best, "nodes": nodes,
-            "edges": max(0, nodes - 1), "collision_checks": 0, "work": k * budget,
+            "n": k * budget, "cost": best, "nodes": last["nodes"], "edges": last["edges"],
+            "collision_checks": totals["collision_checks"], "work": sum(totals.values()),
         })
 
     return PlanResult(
         path=best_sol,
         best_cost=best,
         checkpoints=records,
-        counters={"samples": 0, "collision_checks": 0, "nn_queries": 0,
-                  "rewires": 0, "rounds": len(bounds_hist)},
+        counters={**totals, "rounds": len(bounds_hist)},
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         checkpoint_stats=stats,
         bounds=bounds_hist,

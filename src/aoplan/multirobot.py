@@ -8,15 +8,14 @@ tensor vertex is represented as a plain tuple of per-robot vertex ids.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import AuditError, SaturationError, UsageError
-from .geometric import PlanResult, SearchTree, _Run, _normalize_checkpoints, prm_star
-from .geometry import CollisionChecker, Scenario, points_valid
+from .geometric import PlanResult, SearchTree, _Run, _cheapest, prm_star
+from .geometry import Scenario, points_valid
 
 # a tensor vertex is one roadmap vertex id per robot
 TensorVertex = Tuple[int, ...]
@@ -280,7 +279,6 @@ def drrt_star(
     adjacent vertices and then tries to rewire them through itself.
     Composite cost is the sum of per-robot path lengths.
     """
-    t0 = time.perf_counter()
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
     if not 0.0 <= goal_bias <= 1.0:
@@ -289,9 +287,7 @@ def drrt_star(
     if not robots:
         raise UsageError("scenario defines no robots")
     rho = resolution if resolution is not None else scenario.default_resolution()
-    checker = CollisionChecker(scenario, rho)
-    run = _Run(scenario, checker, t0)
-    cps = _normalize_checkpoints(checkpoints, iterations)
+    run = _Run(scenario, iterations, checkpoints, rho)
 
     roadmaps = build_per_robot_roadmaps(
         scenario, robots, stream, n_roadmap, rule,
@@ -319,15 +315,6 @@ def drrt_star(
         return all(v in goals for v, goals in zip(key, goal_sets))
 
     goal_ids = [0] if is_goal(root_key) else []
-    records = []
-    stats = []
-    cp = set(cps)
-
-    def current_best():
-        if not goal_ids:
-            return None
-        return float(min(tree.cost[g] for g in goal_ids))
-
     goal_sample = CompositeConfig(
         per_robot=tuple(rb.goal.center for rb in robots), robot_radii=radii,
     )
@@ -342,7 +329,7 @@ def drrt_star(
             for c in order:
                 if tree.cost[c] + weights[c] >= tree.cost[nid]:
                     break
-                if tree.valid_edge_to(checker, tree.keys[c], key):
+                if tree.valid_edge_to(run.checker, tree.keys[c], key):
                     tree.reparent(nid, c, weights[c])
                     run.rewires += 1
                     break
@@ -350,7 +337,7 @@ def drrt_star(
             if c == tree.parent[nid]:
                 continue
             nw = tree.cost[nid] + weights[c]
-            if nw < tree.cost[c] and tree.valid_edge_to(checker, key, tree.keys[c]):
+            if nw < tree.cost[c] and tree.valid_edge_to(run.checker, key, tree.keys[c]):
                 tree.reparent(c, nid, weights[c])
                 run.rewires += 1
 
@@ -374,7 +361,7 @@ def drrt_star(
                 order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
                 parent = None
                 for c in order:
-                    if tree.valid_edge_to(checker, tree.keys[c], new_key):
+                    if tree.valid_edge_to(run.checker, tree.keys[c], new_key):
                         parent = c
                         break
                 if parent is not None:
@@ -389,19 +376,17 @@ def drrt_star(
         relax_vertex(it % tree.size)
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
-        if it in cp:
-            best = current_best()
-            records.append((it, best))
-            stats.append(run.stat(it, best, tree.size, max(0, tree.size - 1)))
+        if it in run.due:
+            top = _cheapest(tree, goal_ids)
+            run.record(it, None if top is None else top[0], tree.size, max(0, tree.size - 1))
 
-    best = current_best()
-    path = None
-    if best is not None:
-        node = min(goal_ids, key=lambda g: (tree.cost[g], g))
-        chain = [tree.keys[w] for w in tree.trace(node)]
-        per_robot = tuple(
-            np.array([roadmaps[i].vertices[k[i]] for k in chain])
-            for i in range(len(robots))
-        )
-        path = CompositePath(per_robot=per_robot, cost=float(tree.cost[node]))
-    return run.result(path, best, records, stats, roadmaps=roadmaps)
+    top = _cheapest(tree, goal_ids)
+    if top is None:
+        return run.result(None, None, roadmaps=roadmaps)
+    best, node = top
+    chain = [tree.keys[w] for w in tree.trace(node)]
+    per_robot = tuple(
+        np.array([roadmaps[i].vertices[k[i]] for k in chain])
+        for i in range(len(robots))
+    )
+    return run.result(CompositePath(per_robot=per_robot, cost=best), best, roadmaps=roadmaps)

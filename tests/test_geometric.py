@@ -1,5 +1,6 @@
 import heapq
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from aoplan import (
     SearchTree,
     UniformStream,
     UsageError,
+    cost_bounded_rrt,
     default_rule,
     edge_valid,
     path_cost,
     prm_star,
     rrt,
     rrt_star,
+    run_planner,
     scenario_from_dict,
     shortest_path,
+    single_integrator_2d,
 )
 
 from conftest import OPT_BOX, OPT_EMPTY, assert_golden, pocket_scenario
@@ -69,14 +73,29 @@ def test_prm_star_path_edges_are_valid(empty_square):
     assert res.path.cost == pytest.approx(path_cost(res.path.waypoints), abs=1e-9)
 
 
-def test_prm_star_start_inside_goal():
+@pytest.mark.parametrize("planner", ["prm-star", "k-prm-star", "rrt", "rrt-star", "sst", "ao-rrt",
+                                     "cost-bounded-rrt"])
+def test_start_inside_goal(planner):
     sc = scenario_from_dict({
         "dimension": 2, "domain": {"min": [0, 0], "max": [1, 1]}, "obstacles": [],
         "start": [0.5, 0.5], "goal": {"center": [0.52, 0.5], "radius": 0.1},
     })
-    res = prm_star(sc, UniformStream(2, 0), 10)
+    if planner == "cost-bounded-rrt":
+        cps = (10,)  # one checkpoint, at the budget
+        res = cost_bounded_rrt(sc, single_integrator_2d(), UniformStream(2, 0), math.inf, 10)
+    else:
+        cps = (4, 10)
+        res = run_planner(sc, planner, UniformStream(2, 0), 10, {}, checkpoints=cps)
+    # the kinematic planners count their start validity check; the
+    # kinodynamic ones do not check the start
+    checks = 1 if planner in ("prm-star", "k-prm-star", "rrt", "rrt-star") else 0
     assert res.best_cost == 0.0
     assert len(res.path.waypoints) == 1
+    assert res.checkpoints == [(c, 0.0) for c in cps]
+    assert res.checkpoint_stats == [
+        {"n": c, "cost": 0.0, "nodes": 1, "edges": 0, "collision_checks": checks, "work": checks}
+        for c in cps
+    ]
 
 
 def test_prm_star_walled_goal_returns_no_path():
@@ -344,6 +363,28 @@ def test_search_tree_costs_and_reparent():
     assert tree.cost[c] == pytest.approx(2.5)
     after = tree.cost[[a, b, c]]
     assert np.all(after <= before + 1e-12)
+    tree.audit_costs()
+
+
+def test_search_tree_rejects_reparent_into_own_subtree():
+    def hung(signum, frame):
+        raise TimeoutError("reparent did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        tree = _chain(2)
+        before = (tree.parent.copy(), tree.cost.copy(), [list(c) for c in tree.children])
+        with pytest.raises(UsageError):
+            tree.reparent(1, 2, 1.0)  # onto its own child
+        with pytest.raises(UsageError):
+            tree.reparent(1, 1, 1.0)  # onto itself
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # rejected before any mutation
+    assert np.array_equal(tree.parent, before[0]) and np.array_equal(tree.cost, before[1])
+    assert tree.children == before[2]
     tree.audit_costs()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from aoplan import (
     AuditError,
+    PlanResult,
     Trajectory,
     UniformStream,
     UsageError,
@@ -198,14 +199,25 @@ def test_ao_rrt_accepts_infinite_initial_bound(kino_square):
 # --- meta loop ------------------------------------------------------------------
 
 
+def stub_round(path=None, cost=None):
+    """A cost-bounded round's PlanResult: a path at cost, or no path."""
+    return PlanResult(
+        path=path, best_cost=cost, checkpoints=[(1, cost)],
+        counters={"samples": 1, "collision_checks": 1, "nn_queries": 1, "rewires": 0},
+        elapsed_ms=0.0,
+        checkpoint_stats=[{"n": 1, "cost": cost, "nodes": 1, "edges": 0,
+                           "collision_checks": 1, "work": 3}],
+    )
+
+
 def test_ao_meta_stub_bound_sequence():
     state = {"first": True}
 
     def stub(bound, budget):
         if state["first"]:
             state["first"] = False
-            return "sol-0", 10.0
-        return f"sol-{bound}", 0.99 * bound
+            return stub_round("sol-0", 10.0)
+        return stub_round(f"sol-{bound}", 0.99 * bound)
 
     res = ao_meta(stub, beta=0.1, rounds=5, budget=100)
     assert len(res.bounds) == 5
@@ -217,7 +229,7 @@ def test_ao_meta_stub_bound_sequence():
 
 
 def test_ao_meta_round1_failure_is_no_path():
-    res = ao_meta(lambda bound, budget: None, beta=0.2, rounds=3, budget=10)
+    res = ao_meta(lambda bound, budget: stub_round(), beta=0.2, rounds=3, budget=10)
     assert res.best_cost is None
     assert res.path is None
     assert res.bounds == []
@@ -229,8 +241,8 @@ def test_ao_meta_stops_on_timeout_round():
     def flaky(bound, budget):
         calls["n"] += 1
         if calls["n"] >= 3:
-            return None
-        return "sol", (10.0 if math.isinf(bound) else 0.9 * bound)
+            return stub_round()
+        return stub_round("sol", 10.0 if math.isinf(bound) else 0.9 * bound)
 
     res = ao_meta(flaky, beta=0.5, rounds=10, budget=10)
     assert len(res.bounds) == 2
@@ -257,11 +269,34 @@ def test_ao_meta_with_cost_bounded_rrt(kino_square):
     assert res.bounds == sorted(res.bounds, reverse=True)
 
 
+def test_ao_meta_counters_sum_every_round(kino_square):
+    system = single_integrator_2d()
+    stream = UniformStream(2, 25)
+    rounds = []
+
+    def planner(bound, budget):
+        res = cost_bounded_rrt(kino_square, system, stream, bound, budget)
+        rounds.append(res)
+        return res
+
+    res = ao_meta(planner, beta=0.1, rounds=4, budget=2000)
+    # the third round exhausts its budget and still counts
+    assert len(rounds) == 3 and rounds[-1].path is None
+    for key in ("samples", "collision_checks", "nn_queries", "rewires"):
+        assert res.counters[key] == sum(r.counters[key] for r in rounds)
+    assert res.counters["rounds"] == 2
+    for st, r, k in zip(res.checkpoint_stats, rounds, (1, 2)):
+        assert (st["nodes"], st["edges"]) == (r.checkpoint_stats[-1]["nodes"],
+                                              r.checkpoint_stats[-1]["edges"])
+        assert st["collision_checks"] == sum(q.counters["collision_checks"] for q in rounds[:k])
+        assert st["work"] == sum(q.checkpoint_stats[-1]["work"] for q in rounds[:k])
+
+
 def test_cost_bounded_rrt_honors_bound(kino_square):
     system = single_integrator_2d()
     out = cost_bounded_rrt(kino_square, system, UniformStream(2, 3), 2.2, 6000)
-    assert out is not None
-    traj, cost = out
+    assert out.path is not None
+    traj, cost = out.path, out.best_cost
     assert cost < 2.2
     assert cost == pytest.approx(sum(traj.durations), abs=1e-9)
 
@@ -269,7 +304,21 @@ def test_cost_bounded_rrt_honors_bound(kino_square):
 def test_cost_bounded_rrt_returns_none_for_impossible_bound(kino_square):
     system = single_integrator_2d()
     out = cost_bounded_rrt(kino_square, system, UniformStream(2, 3), 0.5, 1500)
-    assert out is None
+    assert out.path is None
+
+
+def test_cost_bounded_rrt_refuses_cost_equal_to_bound():
+    from aoplan import scenario_from_dict
+
+    sc = scenario_from_dict({
+        "dimension": 2, "domain": {"min": [0, 0], "max": [1, 1]}, "obstacles": [],
+        "start": [0.5, 0.5], "goal": {"center": [0.5, 0.58], "radius": 0.05},
+    })
+    # every edge lasts exactly 0.1, so every child of the root costs the bound
+    system = single_integrator_2d(step=0.02, duration_bounds=(0.1, 0.1))
+    out = cost_bounded_rrt(sc, system, UniformStream(2, 1), 0.1, 200)
+    assert out.path is None and out.best_cost is None
+    assert out.checkpoint_stats[-1]["nodes"] == 1
 
 
 # golden values recorded before the kinodynamic planners shared the tree core
@@ -339,16 +388,20 @@ GOLDEN_AO_RRT = {
 }
 
 
+# counters and the nodes/edges/collision_checks/work stat fields were
+# re-recorded when ao_meta began summing its rounds' counters; the rest
+# is the earlier golden
 GOLDEN_AO_META = {
     "best_cost": "2.02",
     "checkpoints": [(2000, 2.46), (4000, 2.02)],
     "stats": [
-        {"n": 2000, "cost": 2.46, "nodes": 13, "edges": 12,
-         "collision_checks": 0, "work": 2000},
-        {"n": 4000, "cost": 2.02, "nodes": 13, "edges": 12,
-         "collision_checks": 0, "work": 4000},
+        {"n": 2000, "cost": 2.46, "nodes": 46, "edges": 45,
+         "collision_checks": 49, "work": 147},
+        {"n": 4000, "cost": 2.02, "nodes": 186, "edges": 185,
+         "collision_checks": 260, "work": 806},
     ],
-    "counters": {"samples": 0, "collision_checks": 0, "nn_queries": 0, "rewires": 0, "rounds": 2},
+    "counters": {"samples": 2273, "collision_checks": 1257, "nn_queries": 2273, "rewires": 0,
+                 "rounds": 2},
     "bounds": [2.46, 2.02],
     "states": [[0.1, 0.1],
                [0.20370865963508272, 0.07103742935534403],
