@@ -664,10 +664,15 @@ def rrt_star(
 ) -> PlanResult:
     """Rewiring tree planner.
 
-    Per iteration: sample, steer from the nearest node, collect the
-    valid-edge neighborhood within min(rule radius, eta_max), connect to
-    the cheapest parent, then rewire any neighbor the new node improves,
-    propagating cost updates immediately.  Until a first solution exists
+    Per iteration: sample, steer from the nearest node and collect the
+    neighborhood within min(rule radius, eta_max), in (dist, id) order.
+    Edges are validated lazily.  The parent is the first neighbor with a
+    valid edge in stable (cost + dist) order, which is the cheapest valid
+    parent with the same tie-break as an argmin over all valid edges.  Then
+    each neighbor in (dist, id) order whose cost the new node would lower
+    is rewired if its edge is valid (a verdict from the parent walk is
+    reused), propagating cost updates immediately.  collision_checks counts
+    the edges actually checked.  Until a first solution exists
     the radius rule runs on a conservative optimal-cost estimate (domain
     diagonal times dimension); after that, on the first solution's cost.
     """
@@ -717,32 +722,37 @@ def rrt_star(
             r = min(r, eta_max)
             run.nn_queries += 1
             ids, dists = index.within_radius(v, r)
-            if ids.shape[0]:
-                valid = run.checker.edges_valid(
-                    np.broadcast_to(v, (ids.shape[0], v.shape[0])), tree.configs[ids]
-                )
-                nbrs = ids[valid]
-                ndists = dists[valid]
-                if nbrs.shape[0]:
-                    cand = tree.cost[nbrs] + ndists
-                    pick = int(np.argmin(cand))
-                    vid = tree.add(v, int(nbrs[pick]), float(ndists[pick]))
-                    index.insert(vid, v)
-                    if goal.contains(v):
-                        goal_nodes.append(vid)
-                        if first_cost is None:
-                            first_cost = float(tree.cost[vid])
-                            if rule.rule == "rrt_star_revised":
-                                rule = replace(rule, c_star_estimate=first_cost)
-                                coef = _radius_coefficient(rule)
-                    # rewire: neighbors already passed the symmetric edge check
-                    base = tree.cost[vid]
-                    maybe = np.nonzero(base + ndists < tree.cost[nbrs])[0]
-                    for j in maybe:
-                        u = int(nbrs[j])
-                        nd = base + float(ndists[j])
-                        if nd < tree.cost[u]:
-                            tree.reparent(u, vid, float(ndists[j]))
+            # edge verdicts by position in the near set, shared with the rewire walk
+            valid = {}
+            pick = -1
+            # argmin takes the first of equal values, so repeated argmins over
+            # the unchecked rest visit stable (cost + dist) order
+            through = tree.cost[ids] + dists
+            for _ in range(ids.shape[0]):
+                j = int(np.argmin(through))
+                valid[j] = run.checker.edge_valid(v, tree.config(ids[j]))
+                if valid[j]:
+                    pick = j
+                    break
+                through[j] = math.inf
+            if pick >= 0:
+                vid = tree.add(v, int(ids[pick]), float(dists[pick]))
+                index.insert(vid, v)
+                if goal.contains(v):
+                    goal_nodes.append(vid)
+                    if first_cost is None:
+                        first_cost = float(tree.cost[vid])
+                        if rule.rule == "rrt_star_revised":
+                            rule = replace(rule, c_star_estimate=first_cost)
+                            coef = _radius_coefficient(rule)
+                base = tree.cost[vid]
+                for j in np.nonzero(base + dists < tree.cost[ids])[0].tolist():
+                    u = int(ids[j])
+                    if base + dists[j] < tree.cost[u]:
+                        if j not in valid:
+                            valid[j] = run.checker.edge_valid(v, tree.config(u))
+                        if valid[j]:
+                            tree.reparent(u, vid, float(dists[j]))
                             run.rewires += 1
         if audit_every and it % audit_every == 0:
             tree.audit_costs()

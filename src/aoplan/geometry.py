@@ -5,6 +5,7 @@ obstacles.  Validity, edge and clearance predicates are vectorized over
 numpy arrays; a segment is checked at a fixed subdivision resolution and
 the batched checker prunes subdivision points that provably cannot lie
 inside an obstacle, so its verdict is identical to checking every point.
+A single point or segment takes a plain-Python path with the same verdict.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -119,6 +121,21 @@ class Scenario:
         """Default subdivision resolution: 1e-3 of the domain diagonal."""
         return 1e-3 * self.domain.diagonal
 
+    @cached_property
+    def _bounds(self) -> tuple:
+        """(domain lo, domain hi, obstacles) as float tuples for the one-item checker.
+
+        Each obstacle is (True, lo, hi) for a box or (False, center, radius)
+        for a ball.  Built on first use and kept on the instance.
+        """
+        obstacles = tuple(
+            (True, tuple(ob.lo.tolist()), tuple(ob.hi.tolist()))
+            if isinstance(ob, BoxObstacle)
+            else (False, tuple(ob.center.tolist()), float(ob.radius))
+            for ob in self.obstacles
+        )
+        return tuple(self.domain.lo.tolist()), tuple(self.domain.hi.tolist()), obstacles
+
 
 @dataclass(frozen=True)
 class Path:
@@ -142,14 +159,26 @@ def make_path(waypoints: Sequence) -> Path:
 # point validity
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product, columns summed left to right.
+
+    The one-item checker sums in the same order, so both paths round alike
+    in any dimension (einsum does not sum left to right for d >= 3).
+    """
+    acc = x[:, 0] * y[:, 0]
+    for j in range(1, x.shape[1]):
+        acc += x[:, j] * y[:, j]
+    return acc
+
+
 def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin: float) -> np.ndarray:
     """True where pts collide with the closed obstacle inflated by margin."""
     if isinstance(ob, BoxObstacle):
         gap = np.maximum(ob.lo - pts, 0.0) + np.maximum(pts - ob.hi, 0.0)
-        return np.einsum("ij,ij->i", gap, gap) <= margin * margin
+        return _rowdot(gap, gap) <= margin * margin
     diff = pts - ob.center
     r = ob.radius + margin
-    return np.einsum("ij,ij->i", diff, diff) <= r * r
+    return _rowdot(diff, diff) <= r * r
 
 
 def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -171,8 +200,7 @@ def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np
 
 def point_valid(scenario: Scenario, q) -> bool:
     """True iff q is inside the domain and collision-free."""
-    q = as_config(q, scenario.dimension)
-    return bool(points_valid(scenario, q[None, :])[0])
+    return _point_free(scenario._bounds, as_config(q, scenario.dimension).tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +228,9 @@ def _canonical_rows(a: np.ndarray, b: np.ndarray):
     return a, b
 
 
-def _segment_counts(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
-    lens = np.linalg.norm(b - a, axis=1)
+def _segment_counts(u: np.ndarray, rho: float) -> np.ndarray:
+    """Subdivision count per row of the segment vectors u."""
+    lens = np.sqrt(_rowdot(u, u))
     return np.maximum(1, np.ceil(lens / rho)).astype(np.int64)
 
 
@@ -213,7 +242,7 @@ def _box_interval(lo, hi, a, u):
     for j in range(a.shape[1]):
         uj = u[:, j]
         aj = a[:, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s0 = (lo[j] - aj) / uj
             s1 = (hi[j] - aj) / uj
         lo_t = np.minimum(s0, s1)
@@ -230,9 +259,9 @@ def _box_interval(lo, hi, a, u):
 def _ball_interval(center, radius, a, u):
     """Per-row t-interval where a + t*u lies in the closed ball."""
     diff = a - center
-    qa = np.einsum("ij,ij->i", u, u)
-    qb = 2.0 * np.einsum("ij,ij->i", diff, u)
-    qc = np.einsum("ij,ij->i", diff, diff) - radius * radius
+    qa = _rowdot(u, u)
+    qb = 2.0 * _rowdot(diff, u)
+    qc = _rowdot(diff, diff) - radius * radius
     t0 = np.full(a.shape[0], 2.0)
     t1 = np.full(a.shape[0], -2.0)
     stationary = qa == 0.0
@@ -298,8 +327,8 @@ def segments_valid(
     ok = points_valid(scenario, a, margin) & points_valid(scenario, b, margin)
     if not ok.any() or not scenario.obstacles:
         return ok
-    counts = _segment_counts(a, b, rho)
     u = b - a
+    counts = _segment_counts(u, rho)
     for ob in scenario.obstacles:
         rows = np.nonzero(ok)[0]
         if rows.size == 0:
@@ -323,9 +352,125 @@ def segments_valid(
 
 def edge_valid(scenario: Scenario, a, b, rho: float, margin: float = 0.0) -> bool:
     """True iff every subdivision point of segment ab at spacing <= rho is valid."""
+    if rho <= 0.0:
+        raise UsageError("resolution rho must be > 0")
     a = as_config(a, scenario.dimension, "edge endpoint")
     b = as_config(b, scenario.dimension, "edge endpoint")
-    return bool(segments_valid(scenario, a[None, :], b[None, :], rho, margin)[0])
+    return _segment_free(scenario._bounds, a.tolist(), b.tolist(), rho, margin)
+
+
+# ---------------------------------------------------------------------------
+# one point or one segment
+#
+# points_valid and segments_valid for a single item, in plain Python: a
+# one-row numpy batch costs far more than its arithmetic.  Every step mirrors
+# the batch checker (canonical endpoint order, subdivision count, interval
+# pruning, the exact endpoint at i = m, sums left to right), so the verdicts
+# are identical.  Points and segment ends are lists of floats; obstacles are
+# the triples of Scenario._bounds.
+
+
+def _hit(ob, p, margin: float) -> bool:
+    """_obstacle_hit for one point."""
+    acc = 0.0
+    if ob[0]:
+        _, lo, hi = ob
+        for x, l, h in zip(p, lo, hi):
+            # the batch's max(l - x, 0) + max(x - h, 0): one term is exactly 0
+            g = l - x if x < l else x - h if x > h else 0.0
+            acc += g * g
+        return acc <= margin * margin
+    _, center, radius = ob
+    for x, c in zip(p, center):
+        t = x - c
+        acc += t * t
+    r = radius + margin
+    return acc <= r * r
+
+
+def _point_free(bounds, p, margin: float) -> bool:
+    """points_valid for one point."""
+    lo, hi, obstacles = bounds
+    for x, l, h in zip(p, lo, hi):
+        if not l <= x <= h:
+            return False
+    for ob in obstacles:
+        if _hit(ob, p, margin):
+            return False
+    return True
+
+
+def _interval(ob, a, u, uu: float, margin: float):
+    """_box_interval or _ball_interval for one segment a + t*u, with uu = u.u."""
+    if ob[0]:
+        _, lo, hi = ob
+        t0, t1 = 0.0, 1.0
+        for aj, uj, l, h in zip(a, u, lo, hi):
+            l -= margin
+            h += margin
+            if uj == 0.0:
+                if not l <= aj <= h:
+                    return 2.0, -2.0
+                continue
+            s0 = (l - aj) / uj
+            s1 = (h - aj) / uj
+            if s1 < s0:
+                s0, s1 = s1, s0
+            t0 = max(t0, s0)
+            t1 = min(t1, s1)
+            if t0 > t1:
+                break
+        return t0, t1
+    _, center, radius = ob
+    r = radius + margin
+    qb = qc = 0.0
+    for aj, uj, c in zip(a, u, center):
+        dj = aj - c
+        qb += dj * uj
+        qc += dj * dj
+    qb = 2.0 * qb
+    qc = qc - r * r
+    if uu == 0.0:
+        return (0.0, 1.0) if qc <= 0.0 else (2.0, -2.0)
+    disc = qb * qb - 4.0 * uu * qc
+    if not disc >= 0.0:
+        return 2.0, -2.0
+    sq = math.sqrt(disc)
+    return max((-qb - sq) / (2.0 * uu), 0.0), min((-qb + sq) / (2.0 * uu), 1.0)
+
+
+def _segment_free(bounds, a, b, rho: float, margin: float) -> bool:
+    """segments_valid for one segment."""
+    if a > b:
+        a, b = b, a
+    if not (_point_free(bounds, a, margin) and _point_free(bounds, b, margin)):
+        return False
+    u = [y - x for x, y in zip(a, b)]
+    uu = 0.0
+    for t in u:
+        uu += t * t
+    m = max(1, math.ceil(math.sqrt(uu) / rho))
+    for ob in bounds[2]:
+        t0, t1 = _interval(ob, a, u, uu, margin)
+        if not t0 <= t1:
+            continue
+        # a non-empty interval already lies in [0, 1], so no clipping
+        for i in range(max(0, math.floor(t0 * m) - 1), min(m, math.ceil(t1 * m) + 1) + 1):
+            if i == m:
+                p = b
+            else:
+                t = i / m
+                p = [x + t * y for x, y in zip(a, u)]
+            if _hit(ob, p, margin):
+                return False
+    return True
+
+
+def _floats(q, d: int, what: str) -> list:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (d,):
+        raise UsageError(f"{what} has shape {q.shape}, expected ({d},)")
+    return q.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +695,14 @@ class CollisionChecker:
 
     def point_valid(self, q) -> bool:
         self.checks += 1
-        return bool(points_valid(self.scenario, np.asarray(q, dtype=float)[None, :],
-                                 self.margin)[0])
+        d = self.scenario.dimension
+        return _point_free(self.scenario._bounds, _floats(q, d, "point"), self.margin)
 
     def edge_valid(self, a, b) -> bool:
         self.checks += 1
-        return bool(segments_valid(self.scenario, np.asarray(a, dtype=float)[None, :],
-                                   np.asarray(b, dtype=float)[None, :],
-                                   self.resolution, self.margin)[0])
+        d = self.scenario.dimension
+        return _segment_free(self.scenario._bounds, _floats(a, d, "edge endpoint"),
+                             _floats(b, d, "edge endpoint"), self.resolution, self.margin)
 
     def edges_valid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = np.atleast_2d(a).shape[0]

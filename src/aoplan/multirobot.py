@@ -133,7 +133,8 @@ class _TensorTree(SearchTree):
         self.buckets = [{v: [] for v in rm.vertices} for rm in roadmaps]
         # per robot: vertex -> closed_neighborhood(i, vertex)
         self.closed = [{} for _ in range(self.r)]
-        self.edge_ok = set()
+        # unordered key pair -> composite edge verdict
+        self.edge_verdict = {}
         super().__init__(self.config_of(root_key))
         self._index(root_key, 0)
 
@@ -209,15 +210,13 @@ class _TensorTree(SearchTree):
         return out
 
     def valid_edge_to(self, checker_counter, ka, kb) -> bool:
-        """composite_edge_valid with a per-run memo on unordered key pairs."""
+        """composite_edge_valid with a per-run memo of both verdicts on unordered key pairs."""
         pair = (ka, kb) if ka <= kb else (kb, ka)
-        if pair in self.edge_ok:
-            return True
-        checker_counter.checks += 1
-        ok = composite_edge_valid(self.scenario, self.composite(ka),
-                                  self.composite(kb), self.rho)
-        if ok:
-            self.edge_ok.add(pair)
+        ok = self.edge_verdict.get(pair)
+        if ok is None:
+            checker_counter.checks += 1
+            ok = self.edge_verdict[pair] = composite_edge_valid(
+                self.scenario, self.composite(ka), self.composite(kb), self.rho)
         return ok
 
     def audit_costs(self, tol: float = 1e-9) -> None:

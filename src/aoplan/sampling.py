@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError, UsageError
-from .geometry import Box, Scenario, points_valid
+from .geometry import Box, Scenario, _point_free
 
 
 def first_primes(k: int) -> list:
@@ -105,9 +105,10 @@ def sample_free(stream, scenario: Scenario, max_attempts: int,
     """First emitted sample that is valid; SaturationError when the budget runs out."""
     if max_attempts < 1:
         raise UsageError("max_attempts must be >= 1")
+    bounds = scenario._bounds
     for _ in range(max_attempts):
         q = stream.next_point(scenario.domain)
-        if points_valid(scenario, q[None, :], margin)[0]:
+        if _point_free(bounds, q.tolist(), margin):
             return q
     raise SaturationError(
         f"no valid sample in {max_attempts} attempts; space looks heavily obstructed"

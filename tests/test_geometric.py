@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import signal
 
@@ -27,7 +28,14 @@ from aoplan import (
     single_integrator_2d,
 )
 
-from conftest import OPT_BOX, OPT_EMPTY, assert_golden, pocket_scenario
+from conftest import (
+    DATA_DIR,
+    OPT_BOX,
+    OPT_EMPTY,
+    assert_golden,
+    load_fixture_scenario,
+    pocket_scenario,
+)
 
 
 def dijkstra_reference(roadmap):
@@ -310,16 +318,17 @@ GOLDEN_RRT = {
 }
 
 
+# collision_checks and work re-recorded when rrt_star began validating lazily
 GOLDEN_RRT_STAR = {
     "best_cost": "0.8222315485253253",
     "checkpoints": [(800, 0.8420741686910704), (1600, 0.8222315485253253)],
     "stats": [
         {"n": 800, "cost": 0.8420741686910704, "nodes": 760, "edges": 759,
-         "collision_checks": 30542, "work": 33831},
+         "collision_checks": 1937, "work": 5226},
         {"n": 1600, "cost": 0.8222315485253253, "nodes": 1514, "edges": 1513,
-         "collision_checks": 119417, "work": 126092},
+         "collision_checks": 4006, "work": 10681},
     ],
-    "counters": {"samples": 1600, "collision_checks": 119417, "nn_queries": 3113, "rewires": 1962},
+    "counters": {"samples": 1600, "collision_checks": 4006, "nn_queries": 3113, "rewires": 1962},
     "waypoints": [[0.1, 0.5],
                   [0.27600249333027593, 0.5568616278030506],
                   [0.4220011640529241, 0.6081179445528694],
@@ -339,6 +348,28 @@ def test_rrt_star_golden(box_square):
     res = rrt_star(box_square, UniformStream(2, 22), 1600, eta=0.1,
                    checkpoints=(800, 1600), audit_every=200)
     assert_golden(res, GOLDEN_RRT_STAR)
+
+
+# recorded before rrt_star validated edges lazily; only collision_checks and
+# work may differ from that build
+RRT_STAR_LAZY_GOLDEN = json.loads((DATA_DIR / "rrt_star_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name,n,checkpoints", [
+    ("empty_square", 4000, (1000, 2000, 4000)),
+    ("box_square", 8000, (2000, 4000, 8000)),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rrt_star_lazy_validation_keeps_outputs(name, n, checkpoints, seed):
+    sc = load_fixture_scenario(f"{name}.json")
+    res = rrt_star(sc, UniformStream(2, seed), n, eta=0.1 * sc.diagonal,
+                   checkpoints=checkpoints)
+    golden = RRT_STAR_LAZY_GOLDEN[f"{name}-{seed}"]
+    assert repr(res.best_cost) == golden["best_cost"]
+    assert [list(c) for c in res.checkpoints] == golden["checkpoints"]
+    assert res.counters["nn_queries"] == golden["nn_queries"]
+    assert res.counters["rewires"] == golden["rewires"]
+    assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
 
 
 def test_rrt_star_rejects_k_rule(empty_square):

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from aoplan import (
     BallObstacle,
+    Box,
     BoxObstacle,
+    CollisionChecker,
     Path,
+    Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     UsageError,
@@ -22,6 +25,7 @@ from aoplan import (
     scenario_from_dict,
     segments_valid,
 )
+from aoplan.geometry import _rowdot
 
 from conftest import pocket_scenario
 
@@ -365,3 +369,95 @@ def test_points_valid_vectorized_matches_scalar():
     flags = points_valid(sc, pts)
     for i in range(0, 500, 17):
         assert flags[i] == point_valid(sc, pts[i])
+
+
+# --- one-item checker -------------------------------------------------------
+
+
+@st.composite
+def one_item_scene(draw):
+    """A d = 2..5 unit-cube scene with box and ball obstacles, a margin and a resolution."""
+    d = draw(st.integers(2, 5))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lo = np.array([draw(st.floats(0.0, 0.7)) for _ in range(d)])
+            hi = np.minimum(1.0, lo + [draw(st.floats(0.05, 0.3)) for _ in range(d)])
+            obstacles.append(BoxObstacle(lo=lo, hi=hi))
+        else:
+            center = np.array([draw(st.floats(0.1, 0.9)) for _ in range(d)])
+            obstacles.append(BallObstacle(center=center, radius=draw(st.floats(0.03, 0.25))))
+    sc = Scenario(dimension=d, domain=Box(lo=np.zeros(d), hi=np.ones(d)),
+                  obstacles=tuple(obstacles), start=None, goal=None)
+    margin = draw(st.sampled_from([0.0, 0.002, 0.02]))
+    rho = draw(st.one_of(st.sampled_from([1e-3, 0.5]), st.floats(1e-3, 0.5)))
+    return sc, margin, rho, draw(st.integers(0, 2**32 - 1))
+
+
+def snapped_segments(sc, margin, rng, n):
+    """n segments; many endpoints lie on a domain face, a box face or a ball surface.
+
+    Ball-surface points are placed along an axis or along a random
+    direction, where the order of the squared terms decides the verdict.
+    One segment in ten has zero length.
+    """
+    d = sc.dimension
+    ends = []
+    for _ in range(2):
+        pts = rng.uniform(-0.1, 1.1, (n, d))
+        for i in range(n):
+            j = rng.integers(d)
+            kind = rng.integers(4)
+            if kind == 1:
+                pts[i, j] = rng.choice([0.0, 1.0])
+            elif kind >= 2:
+                ob = sc.obstacles[rng.integers(len(sc.obstacles))]
+                grow = rng.choice([0.0, margin])
+                if isinstance(ob, BoxObstacle):
+                    pts[i, j] = rng.choice([ob.lo[j] - grow, ob.hi[j] + grow])
+                else:
+                    v = rng.uniform(-1.0, 1.0, d) if kind == 3 else np.eye(d)[j]
+                    pts[i] = ob.center + (ob.radius + grow) * v / np.linalg.norm(v)
+        ends.append(pts)
+    a, b = ends
+    near = rng.random(n) < 0.5  # short segments that start on a face
+    b[near] = a[near] + rng.uniform(-0.05, 0.05, (near.sum(), d))
+    same = rng.random(n) < 0.1
+    b[same] = a[same]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=one_item_scene())
+def test_one_item_checks_match_batch_rows(scene):
+    sc, margin, rho, seed = scene
+    a, b = snapped_segments(sc, margin, np.random.default_rng(seed), 60)
+    rows = segments_valid(sc, a, b, rho, margin)
+    ends = points_valid(sc, a, margin)
+    checker = CollisionChecker(sc, rho, margin)
+    for i in range(a.shape[0]):
+        assert checker.edge_valid(a[i], b[i]) == rows[i]
+        assert checker.edge_valid(b[i], a[i]) == rows[i]
+        assert edge_valid(sc, a[i], b[i], rho, margin) == rows[i]
+        assert checker.point_valid(a[i]) == ends[i]
+        if margin == 0.0:
+            assert point_valid(sc, a[i]) == ends[i]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_rowdot_sums_columns_left_to_right(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4000, d)) * rng.choice([1e-3, 1.0, 1e3], size=(4000, d))
+    y = rng.standard_normal((4000, d))
+    for u, v in ((x, x), (x, y)):
+        want = []
+        for ur, vr in zip(u.tolist(), v.tolist()):
+            acc = 0.0
+            for p, q in zip(ur, vr):
+                acc += p * q
+            want.append(acc)
+        assert _rowdot(u, v).tolist() == want
+    if d == 2:
+        # a two-term sum has one order, so d = 2 matches the numpy reductions
+        assert np.array_equal(_rowdot(x, x), np.einsum("ij,ij->i", x, x))
+        assert np.array_equal(np.sqrt(_rowdot(x, x)), np.linalg.norm(x, axis=1))
