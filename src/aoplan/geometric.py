@@ -155,25 +155,48 @@ def steer(from_, toward, eta: float) -> np.ndarray:
 
 @dataclass
 class Roadmap:
-    """Undirected roadmap with Euclidean edge weights."""
+    """Undirected weighted roadmap in compressed sparse row (CSR) form.
 
-    vertices: dict
-    adjacency: dict
+    Vertex v is row v of the (n, d) `vertices` array.  Its neighbours are
+    indices[indptr[v]:indptr[v + 1]], ascending by id, with the matching
+    edge weights in the same slice of `weights`; every edge is stored once
+    from each end.
+    """
+
+    vertices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
     start_id: int
     goal_ids: list
     goal: Optional[GoalRegion] = None
 
+    @classmethod
+    def from_edges(cls, vertices, a, b, w, start_id: int, goal_ids,
+                   goal: Optional[GoalRegion] = None) -> "Roadmap":
+        """Roadmap whose undirected edges are the distinct pairs (a[i], b[i]) of weight w[i]."""
+        vertices = np.asarray(vertices, dtype=float)
+        n = vertices.shape[0]
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        w = np.asarray(w, dtype=float)
+        if not a.shape == b.shape == w.shape or np.any((a < 0) | (a >= n) | (b < 0) | (b >= n)):
+            raise UsageError("edges need equal-length a, b and w, with ids in [0, n)")
+        # each edge once from each end, sorted by (source, neighbour)
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.argsort(src * n + dst)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(vertices, indptr, dst[order], np.concatenate([w, w])[order],
+                   start_id, list(goal_ids), goal)
+
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return len(self.indices) // 2
 
-    def add_vertex(self, vid: int, config: np.ndarray) -> None:
-        self.vertices[vid] = config
-        self.adjacency.setdefault(vid, {})
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        self.adjacency[u][v] = weight
-        self.adjacency[v][u] = weight
+    def neighbors(self, v: int):
+        """(ids, weights) of v's neighbours, ascending by id."""
+        lo, hi = self.indptr[v], self.indptr[v + 1]
+        return self.indices[lo:hi], self.weights[lo:hi]
 
 
 class SearchTree:
@@ -445,7 +468,8 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
             found = v
             break
         dv = dist[v]
-        for u, w in roadmap.adjacency.get(v, {}).items():
+        ids, weights = roadmap.neighbors(v)
+        for u, w in zip(ids.tolist(), weights.tolist()):
             nd = dv + w
             if nd < dist.get(u, math.inf):
                 dist[u] = nd
@@ -469,13 +493,8 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
 
 def _connect_prefix(run, configs, nv, rule, goal_region):
     """Build the roadmap over the first nv stored configurations."""
-    scenario = run.scenario
-    d = scenario.dimension
+    d = run.scenario.dimension
     pts = configs[:nv]
-    roadmap = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[], goal=goal_region)
-    for vid in range(nv):
-        roadmap.add_vertex(vid, pts[vid])
-
     # the index covers exactly this prefix so neighborhoods never see
     # samples from a later checkpoint
     index = NeighborIndex(d)
@@ -489,44 +508,33 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
     else:
         r = connection_radius(rule, n_for_rule)
 
-    pair_a = []
-    pair_b = []
+    near = []
     for vid in range(nv):
         run.nn_queries += 1
         if use_k:
-            nbrs = [u for u, _ in index.k_nearest(pts[vid], k + 1) if u != vid]
-            nbrs = nbrs[:k]
-            for u in nbrs:
-                # canonical (min, max) orientation; duplicates dropped below
-                pair_a.append(min(vid, u))
-                pair_b.append(max(vid, u))
+            ids = [u for u, _ in index.k_nearest(pts[vid], k + 1) if u != vid]
+            near.append(np.array(ids[:k], dtype=np.int64))
         else:
             ids, _ = index.within_radius(pts[vid], r)
-            ids = ids[ids > vid]
-            pair_a.extend([vid] * len(ids))
-            pair_b.extend(int(u) for u in ids)
-
-    if pair_a:
-        pa = np.asarray(pair_a, dtype=np.int64)
-        pb = np.asarray(pair_b, dtype=np.int64)
-        if use_k:
-            # directed k-lists may repeat a pair from both sides
-            keys = pa * np.int64(nv) + pb
-            _, uniq = np.unique(keys, return_index=True)
-            pa, pb = pa[np.sort(uniq)], pb[np.sort(uniq)]
-        chunk = 200_000
-        for lo in range(0, pa.shape[0], chunk):
-            sa, sb = pa[lo:lo + chunk], pb[lo:lo + chunk]
-            valid = run.checker.edges_valid(pts[sa], pts[sb])
-            weights = np.linalg.norm(pts[sa] - pts[sb], axis=1)
-            for u, v, ok, w in zip(sa, sb, valid, weights):
-                if ok:
-                    roadmap.add_edge(int(u), int(v), float(w))
+            near.append(ids[ids > vid])
+    src = np.repeat(np.arange(nv, dtype=np.int64), [ids.shape[0] for ids in near])
+    dst = np.concatenate(near)
+    # canonical (min, max) orientation
+    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    if use_k:
+        # directed k-lists may repeat a pair from both sides
+        _, uniq = np.unique(a * np.int64(nv) + b, return_index=True)
+        a, b = a[np.sort(uniq)], b[np.sort(uniq)]
+    keep = np.zeros(a.shape[0], dtype=bool)
+    chunk = 200_000
+    for lo in range(0, a.shape[0], chunk):
+        keep[lo:lo + chunk] = run.checker.edges_valid(pts[a[lo:lo + chunk]], pts[b[lo:lo + chunk]])
+    a, b = a[keep], b[keep]
+    weights = np.linalg.norm(pts[a] - pts[b], axis=1)
 
     ball = np.linalg.norm(pts - goal_region.center, axis=1) <= goal_region.radius
-    goal_ids = sorted({1} | set(np.nonzero(ball)[0].tolist()))
-    roadmap.goal_ids = [int(g) for g in goal_ids]
-    return roadmap
+    goal_ids = sorted({1, *np.nonzero(ball)[0].tolist()})
+    return Roadmap.from_edges(pts, a, b, weights, 0, goal_ids, goal_region)
 
 
 def prm_star(

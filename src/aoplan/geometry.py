@@ -171,8 +171,12 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin: float) -> np.ndarray:
-    """True where pts collide with the closed obstacle inflated by margin."""
+def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin) -> np.ndarray:
+    """True where pts collide with the closed obstacle inflated by margin.
+
+    margin is a float, or an array with one margin per row of pts (it
+    broadcasts elementwise, so each row rounds as with a scalar margin).
+    """
     if isinstance(ob, BoxObstacle):
         gap = np.maximum(ob.lo - pts, 0.0) + np.maximum(pts - ob.hi, 0.0)
         return _rowdot(gap, gap) <= margin * margin
@@ -181,13 +185,14 @@ def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin: float) -> np.ndarray:
     return _rowdot(diff, diff) <= r * r
 
 
-def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+def points_valid(scenario: Scenario, pts: np.ndarray, margin=0.0) -> np.ndarray:
     """Vectorized validity of an (m, d) array of configurations.
 
     A point is valid when it lies inside the closed domain box and outside
     every closed obstacle inflated by margin (a disc robot's radius: its
     center must stay inside the domain, its body may overhang the
     boundary).  Boundary contact with an obstacle counts as collision.
+    margin is a float or one value per point.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ok = scenario.domain.contains(pts)

@@ -89,28 +89,20 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
         raise UsageError("composite configurations have different robot counts")
     if rho <= 0.0:
         raise UsageError("resolution rho must be > 0")
-    radii = a.robot_radii
-    r = a.num_robots
-    seg_len = max(
-        float(np.linalg.norm(np.asarray(b.per_robot[i]) - np.asarray(a.per_robot[i])))
-        for i in range(r)
-    )
-    m = max(1, int(np.ceil(seg_len / rho)))
-    ts = np.arange(m + 1) / m
-    tracks = []
-    for i in range(r):
-        ai = np.asarray(a.per_robot[i], dtype=float)
-        bi = np.asarray(b.per_robot[i], dtype=float)
-        pts = ai + ts[:, None] * (bi - ai)
-        if not points_valid(scenario, pts, margin=radii[i]).all():
-            return False
-        tracks.append(pts)
-    for i in range(r):
-        for j in range(i + 1, r):
-            gap = np.linalg.norm(tracks[i] - tracks[j], axis=1)
-            if np.any(gap < radii[i] + radii[j]):
-                return False
-    return True
+    radii = np.asarray(a.robot_radii, dtype=float)
+    pa = np.array(a.per_robot, dtype=float)
+    step = np.array(b.per_robot, dtype=float) - pa
+    # vecdot is bit-equal to the 1-D np.linalg.norm of each robot's step
+    m = max(1, int(np.ceil(np.sqrt(np.vecdot(step, step)).max() / rho)))
+    # (m + 1, robots, d): row k puts robot i at t_k * (b_i - a_i) + a_i
+    tracks = (np.arange(m + 1) / m)[:, None, None] * step + pa
+    rows = tracks.reshape(-1, pa.shape[1])
+    if not points_valid(scenario, rows, margin=np.tile(radii, m + 1)).all():
+        return False
+    k = np.arange(len(radii))
+    i, j = np.nonzero(k[:, None] < k)
+    gap = np.linalg.norm(tracks[:, i] - tracks[:, j], axis=-1)
+    return not np.any(gap < radii[i] + radii[j])
 
 
 class _TensorTree(SearchTree):
@@ -130,7 +122,7 @@ class _TensorTree(SearchTree):
         self.keys = []
         self.key_to_id = {}
         # per robot: roadmap vertex -> ids of the tree vertices standing on it
-        self.buckets = [{v: [] for v in rm.vertices} for rm in roadmaps]
+        self.buckets = [[[] for _ in range(len(rm.vertices))] for rm in roadmaps]
         # per robot: vertex -> closed_neighborhood(i, vertex)
         self.closed = [{} for _ in range(self.r)]
         # unordered key pair -> composite edge verdict
@@ -171,9 +163,9 @@ class _TensorTree(SearchTree):
         got = self.closed[i].get(v)
         if got is None:
             rm = self.roadmaps[i]
-            ids = sorted([v, *rm.adjacency[v]])
-            got = (ids, np.array([rm.vertices[c] for c in ids], dtype=float))
-            self.closed[i][v] = got
+            nbrs = rm.neighbors(v)[0]
+            ids = np.insert(nbrs, np.searchsorted(nbrs, v), v)
+            got = self.closed[i][v] = (ids.tolist(), rm.vertices[ids])
         return got
 
     def edge_costs(self, key, ids) -> dict:
@@ -181,7 +173,7 @@ class _TensorTree(SearchTree):
 
         Each robot's step length is sqrt(vecdot) of its coordinate
         difference, bit-equal to the 1-D np.linalg.norm; a robot that stays
-        put adds 0.  The roadmap's adjacency weights come from an axis-wise
+        put adds 0.  The roadmap's edge weights come from an axis-wise
         norm that can differ in the last ulp, so they are not used.
         """
         ids = list(ids)
@@ -228,21 +220,21 @@ class _TensorTree(SearchTree):
         super().audit_costs(tol)
 
 
-def _expand_candidate(tree: _TensorTree, q_rand: CompositeConfig):
+def _expand_candidate(tree: _TensorTree, q_rand: np.ndarray):
     """Greedy componentwise step from the tree vertex nearest to q_rand.
 
-    Each robot moves to the roadmap neighbour (staying put allowed)
-    closest to its component of q_rand, ties to the lower vertex id.
-    Returns (source_id, new_key) or None when no robot moves; the
+    q_rand is the composite sample flattened to (r * d,), robot after
+    robot.  Each robot moves to the roadmap neighbour (staying put
+    allowed) closest to its component of q_rand, ties to the lower vertex
+    id.  Returns (source_id, new_key) or None when no robot moves; the
     composite edge is not validated here.
     """
-    q_flat = np.concatenate([np.asarray(p, dtype=float) for p in q_rand.per_robot])
-    near = tree.nearest(q_flat)
+    near = tree.nearest(q_rand)
     key = tree.keys[near]
     new_key = []
-    for i, target in enumerate(q_rand.per_robot):
+    for i, target in enumerate(q_rand.reshape(tree.r, tree.d)):
         ids, coords = tree.closed_neighborhood(i, key[i])
-        diff = coords - np.asarray(target, dtype=float)
+        diff = coords - target
         # vecdot matches the 1-D np.linalg.norm bit for bit; argmin over
         # the sorted ids keeps the (distance, id) tie-break
         dist = np.sqrt(np.vecdot(diff, diff))
@@ -306,7 +298,7 @@ def drrt_star(
                 raise UsageError(f"robots {i} and {j} overlap at their starts")
 
     goal_sets = [
-        {v for v, q in rm.vertices.items() if rb.goal.contains(q)}
+        {v for v, q in enumerate(rm.vertices) if rb.goal.contains(q)}
         for rb, rm in zip(robots, roadmaps)
     ]
 
@@ -314,9 +306,7 @@ def drrt_star(
         return all(v in goals for v, goals in zip(key, goal_sets))
 
     goal_ids = [0] if is_goal(root_key) else []
-    goal_sample = CompositeConfig(
-        per_robot=tuple(rb.goal.center for rb in robots), robot_radii=radii,
-    )
+    goal_sample = np.concatenate([rb.goal.center for rb in robots])
 
     def relax_vertex(nid: int) -> None:
         """Choose-parent and rewire nid against its discovered neighbors."""
@@ -345,10 +335,7 @@ def drrt_star(
         if stream.next_uniform01() < goal_bias:
             q_rand = goal_sample
         else:
-            q_rand = CompositeConfig(
-                per_robot=tuple(stream.next_point(scenario.domain) for _ in robots),
-                robot_radii=radii,
-            )
+            q_rand = np.concatenate([stream.next_point(scenario.domain) for _ in robots])
         run.nn_queries += 1
         expansion = _expand_candidate(tree, q_rand)
         if expansion is not None:

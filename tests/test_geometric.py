@@ -38,6 +38,12 @@ from conftest import (
 )
 
 
+def adjacent(roadmap, v):
+    """v's neighbours as {id: weight}."""
+    ids, weights = roadmap.neighbors(v)
+    return dict(zip(ids.tolist(), weights.tolist()))
+
+
 def dijkstra_reference(roadmap):
     """Plain Dijkstra over the roadmap, goal set = roadmap.goal_ids."""
     dist = {roadmap.start_id: 0.0}
@@ -51,7 +57,7 @@ def dijkstra_reference(roadmap):
         done.add(v)
         if v in goals:
             return dv
-        for u, w in roadmap.adjacency[v].items():
+        for u, w in adjacent(roadmap, v).items():
             nd = dv + w
             if nd < dist.get(u, math.inf):
                 dist[u] = nd
@@ -118,9 +124,9 @@ def test_prm_star_roadmap_invariants(box_square):
     rm = res.roadmap
     rho = box_square.default_resolution()
     checked = 0
-    for u, nbrs in rm.adjacency.items():
-        for v, w in nbrs.items():
-            assert rm.adjacency[v][u] == w
+    for u in range(len(rm.vertices)):
+        for v, w in adjacent(rm, u).items():
+            assert adjacent(rm, v)[u] == w
             assert w == pytest.approx(
                 float(np.linalg.norm(rm.vertices[u] - rm.vertices[v])), abs=1e-9)
             if u < v and checked < 200:
@@ -167,11 +173,7 @@ def test_prm_star_usage_errors(empty_square):
 
 
 def two_vertex_roadmap(weight=5.0):
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[1])
-    rm.add_vertex(0, np.array([0.0, 0.0]))
-    rm.add_vertex(1, np.array([weight, 0.0]))
-    rm.add_edge(0, 1, weight)
-    return rm
+    return Roadmap.from_edges([[0.0, 0.0], [weight, 0.0]], [0], [1], [weight], 0, [1])
 
 
 def test_shortest_path_two_vertices():
@@ -181,21 +183,15 @@ def test_shortest_path_two_vertices():
 
 
 def test_shortest_path_triangle():
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[1])
-    rm.add_vertex(0, np.array([0.0, 0.0]))
-    rm.add_vertex(1, np.array([5.0, 0.0]))
-    rm.add_vertex(2, np.array([3.0, 0.0]))
-    rm.add_edge(0, 2, 3.0)
-    rm.add_edge(2, 1, 4.0)
+    vertices = [[0.0, 0.0], [5.0, 0.0], [3.0, 0.0]]
+    rm = Roadmap.from_edges(vertices, [0, 2], [2, 1], [3.0, 4.0], 0, [1])
     assert shortest_path(rm).cost == pytest.approx(7.0)
-    rm.add_edge(0, 1, 5.0)
+    rm = Roadmap.from_edges(vertices, [0, 2, 0], [2, 1, 1], [3.0, 4.0, 5.0], 0, [1])
     assert shortest_path(rm).cost == pytest.approx(5.0)
 
 
 def test_shortest_path_disconnected_returns_none():
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[1])
-    rm.add_vertex(0, np.array([0.0, 0.0]))
-    rm.add_vertex(1, np.array([1.0, 0.0]))
+    rm = Roadmap.from_edges([[0.0, 0.0], [1.0, 0.0]], [], [], [], 0, [1])
     assert shortest_path(rm) is None
 
 
@@ -204,6 +200,52 @@ def test_astar_matches_dijkstra_on_random_roadmap(empty_square):
     path = shortest_path(res.roadmap)
     ref = dijkstra_reference(res.roadmap)
     assert path.cost == pytest.approx(ref, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_from_edges_csr_properties(n, density, seed):
+    rng = np.random.default_rng(seed)
+    vertices = rng.random((n, 2))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    w = np.linalg.norm(vertices[a] - vertices[b], axis=1)
+    # as in prm_star: vertex 1 is the goal center, the goal set is the ball
+    goal = GoalRegion(center=vertices[1], radius=0.2)
+    goal_ids = [v for v in range(n) if goal.contains(vertices[v])]
+    rm = Roadmap.from_edges(vertices, a, b, w, 0, goal_ids, goal)
+
+    assert rm.num_edges == len(pairs)
+    for u in range(n):
+        ids, _ = rm.neighbors(u)
+        assert np.all(np.diff(ids) > 0)
+        for v, weight in adjacent(rm, u).items():
+            assert adjacent(rm, v)[u] == weight
+    path = shortest_path(rm)
+    ref = dijkstra_reference(rm)
+    if ref is None:
+        assert path is None
+    else:
+        assert path.cost == pytest.approx(ref, abs=1e-9)
+
+    # the same edges listed in another order and orientation
+    order = rng.permutation(len(pairs))
+    flip = rng.random(len(pairs)) < 0.5
+    a2, b2 = np.where(flip, b, a)[order], np.where(flip, a, b)[order]
+    again = shortest_path(Roadmap.from_edges(vertices, a2, b2, w[order], 0, goal_ids, goal))
+    if path is None:
+        assert again is None
+    else:
+        assert repr(again.cost) == repr(path.cost)
+        assert [q.tobytes() for q in again.waypoints] == [q.tobytes() for q in path.waypoints]
+
+
+def test_from_edges_rejects_bad_edges():
+    with pytest.raises(UsageError):
+        Roadmap.from_edges([[0.0, 0.0], [1.0, 0.0]], [0], [2], [1.0], 0, [1])
+    with pytest.raises(UsageError):
+        Roadmap.from_edges([[0.0, 0.0], [1.0, 0.0]], [0], [1], [1.0, 2.0], 0, [1])
 
 
 # --- classic tree planner ----------------------------------------------------
@@ -370,6 +412,26 @@ def test_rrt_star_lazy_validation_keeps_outputs(name, n, checkpoints, seed):
     assert res.counters["nn_queries"] == golden["nn_queries"]
     assert res.counters["rewires"] == golden["rewires"]
     assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
+
+
+# recorded from the dict-of-dicts roadmap, before it became CSR arrays
+PRM_STAR_GOLDEN = json.loads((DATA_DIR / "prm_star_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(PRM_STAR_GOLDEN))
+def test_prm_star_golden(key):
+    planner, name, seed, n = key.rsplit("-", 3)
+    golden = PRM_STAR_GOLDEN[key]
+    checkpoints = [c for c, _ in golden["checkpoints"]]
+    res = run_planner(load_fixture_scenario(f"{name}.json"), planner,
+                      UniformStream(2, int(seed)), int(n), {}, checkpoints=checkpoints)
+    assert repr(res.best_cost) == golden["best_cost"]
+    assert [list(c) for c in res.checkpoints] == golden["checkpoints"]
+    # "edges" is the roadmap's num_edges at each checkpoint
+    assert res.checkpoint_stats == golden["stats"]
+    assert res.counters == golden["counters"]
+    assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
+    assert res.roadmap.num_edges == golden["stats"][-1]["edges"]
 
 
 def test_rrt_star_rejects_k_rule(empty_square):

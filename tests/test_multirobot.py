@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoplan import (
+    BallObstacle,
+    Box,
+    BoxObstacle,
     CompositeConfig,
     Roadmap,
     SaturationError,
+    Scenario,
     UniformStream,
     UsageError,
     build_per_robot_roadmaps,
     composite_edge_valid,
     drrt_star,
+    points_valid,
     scenario_from_dict,
     segments_valid,
     shortest_path,
@@ -42,6 +47,11 @@ def cc(points, radii):
         per_robot=tuple(np.asarray(p, dtype=float) for p in points),
         robot_radii=tuple(radii),
     )
+
+
+def flat(points):
+    """A composite sample as _expand_candidate takes it: robot after robot."""
+    return np.concatenate([np.asarray(p, dtype=float) for p in points])
 
 
 def test_parallel_motion_far_apart_is_valid():
@@ -85,6 +95,60 @@ def test_contact_separation_is_allowed():
     assert not composite_edge_valid(sc, a, tighter, 0.01)
 
 
+def composite_edge_valid_by_loop(scenario, a, b, rho):
+    """Per-robot reference for composite_edge_valid: one points_valid call per
+    robot, one gap norm per robot pair."""
+    radii = a.robot_radii
+    r = a.num_robots
+    seg_len = max(
+        float(np.linalg.norm(np.asarray(b.per_robot[i]) - np.asarray(a.per_robot[i])))
+        for i in range(r)
+    )
+    m = max(1, int(np.ceil(seg_len / rho)))
+    ts = np.arange(m + 1) / m
+    tracks = []
+    for i in range(r):
+        ai = np.asarray(a.per_robot[i], dtype=float)
+        bi = np.asarray(b.per_robot[i], dtype=float)
+        pts = ai + ts[:, None] * (bi - ai)
+        if not points_valid(scenario, pts, margin=radii[i]).all():
+            return False
+        tracks.append(pts)
+    for i in range(r):
+        for j in range(i + 1, r):
+            gap = np.linalg.norm(tracks[i] - tracks[j], axis=1)
+            if np.any(gap < radii[i] + radii[j]):
+                return False
+    return True
+
+
+# sixteenths put obstacle faces, robot radii and track coordinates on one
+# exact grid, so edges that graze a margin or touch another robot are common
+sixteenth = st.integers(0, 16).map(lambda k: k / 16)
+coordinate = st.one_of(sixteenth, st.floats(0.0, 1.0))
+point = st.tuples(coordinate, coordinate)
+box_obstacle = st.tuples(point, point).map(
+    lambda pq: BoxObstacle(lo=np.minimum(*pq), hi=np.maximum(*pq)))
+ball_obstacle = st.builds(BallObstacle, center=point.map(np.array),
+                          radius=st.integers(1, 4).map(lambda k: k / 16))
+robot_radius = st.one_of(st.sampled_from([0.0, 0.0625, 0.125]), st.floats(0.0, 0.2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(obstacles=st.lists(st.one_of(box_obstacle, ball_obstacle), max_size=3),
+       robots=st.integers(1, 3).flatmap(
+           lambda r: st.lists(st.tuples(point, point, robot_radius), min_size=r, max_size=r)),
+       rho=st.sampled_from([0.01, 0.0625, 0.3]))
+def test_composite_edge_valid_matches_per_robot_loop(obstacles, robots, rho):
+    # built directly: a parsed scenario would reject robots that start in collision
+    sc = Scenario(dimension=2, domain=Box(lo=np.zeros(2), hi=np.ones(2)),
+                  obstacles=tuple(obstacles), start=None, goal=None)
+    radii = [radius for _, _, radius in robots]
+    a = cc([start for start, _, _ in robots], radii)
+    b = cc([end for _, end, _ in robots], radii)
+    assert composite_edge_valid(sc, a, b, rho) == composite_edge_valid_by_loop(sc, a, b, rho)
+
+
 def test_mismatched_robot_counts_rejected():
     sc = empty_multi(SWAP_ROBOTS)
     with pytest.raises(UsageError):
@@ -96,13 +160,11 @@ def test_mismatched_robot_counts_rejected():
 
 
 def square_roadmap(shift=0.0):
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[3])
     coords = [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8)]
-    for i, (x, y) in enumerate(coords):
-        rm.add_vertex(i, np.array([x + shift, y]))
-    for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
-        rm.add_edge(u, v, float(np.linalg.norm(rm.vertices[u] - rm.vertices[v])))
-    return rm
+    vertices = np.array([[x + shift, y] for x, y in coords])
+    a, b = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
+    weights = [float(np.linalg.norm(vertices[u] - vertices[v])) for u, v in zip(a, b)]
+    return Roadmap.from_edges(vertices, a, b, weights, 0, [3])
 
 
 def hand_tree(scenario, roadmaps):
@@ -118,7 +180,7 @@ def test_expansion_picks_componentwise_nearest():
     ])
     roadmaps = [square_roadmap(), square_roadmap()]
     tree = hand_tree(sc, roadmaps)
-    q = cc([(0.85, 0.15), (0.15, 0.9)], (0.02, 0.02))
+    q = flat([(0.85, 0.15), (0.15, 0.9)])
     out = _expand_candidate(tree, q)
     assert out is not None
     near, key = out
@@ -128,8 +190,8 @@ def test_expansion_picks_componentwise_nearest():
     best = None
     for c0 in [0, 1, 2]:
         for c1 in [0, 1, 2]:
-            d = (np.linalg.norm(roadmaps[0].vertices[c0] - np.asarray(q.per_robot[0]))
-                 + np.linalg.norm(roadmaps[1].vertices[c1] - np.asarray(q.per_robot[1])))
+            d = (np.linalg.norm(roadmaps[0].vertices[c0] - q[:2])
+                 + np.linalg.norm(roadmaps[1].vertices[c1] - q[2:]))
             if best is None or d < best[0]:
                 best = (d, (c0, c1))
     assert key == best[1]
@@ -143,7 +205,7 @@ def test_expansion_rejects_stay_put():
     ])
     roadmaps = [square_roadmap(), square_roadmap()]
     tree = hand_tree(sc, roadmaps)
-    q = cc([(0.2, 0.2), (0.2, 0.2)], (0.02, 0.02))
+    q = flat([(0.2, 0.2), (0.2, 0.2)])
     assert _expand_candidate(tree, q) is None
 
 
@@ -154,12 +216,10 @@ def test_expansion_rejects_invalid_composite_edge():
         "robots": [{"radius": 0.02, "start": [0.1, 0.5],
                     "goal": {"center": [0.9, 0.5], "radius": 0.05}}],
     })
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[1])
-    rm.add_vertex(0, np.array([0.1, 0.5]))
-    rm.add_vertex(1, np.array([0.9, 0.5]))
-    rm.add_edge(0, 1, 0.8)  # hand-planted edge straight through the box
+    # hand-planted edge straight through the box
+    rm = Roadmap.from_edges([[0.1, 0.5], [0.9, 0.5]], [0], [1], [0.8], 0, [1])
     tree = _TensorTree(sc, [rm], (0.02,), sc.default_resolution(), (0,))
-    q = cc([(0.9, 0.5)], (0.02,))
+    q = flat([(0.9, 0.5)])
     out = _expand_candidate(tree, q)
     assert out == (0, (1,))
     assert not composite_edge_valid(sc, tree.composite((0,)), tree.composite((1,)),
@@ -176,14 +236,12 @@ def random_roadmaps(seed, r, n, d=2):
     rng = np.random.default_rng(seed)
     roadmaps = []
     for _ in range(r):
-        rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[])
-        for v in range(n):
-            rm.add_vertex(v, rng.random(d))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.5:
-                    rm.add_edge(u, v, 0.0)  # weights are never read by the tree
-        roadmaps.append(rm)
+        vertices = np.array([rng.random(d) for _ in range(n)])
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5], dtype=np.int64).reshape(-1, 2)
+        # weights are never read by the tree
+        roadmaps.append(Roadmap.from_edges(vertices, pairs[:, 0], pairs[:, 1],
+                                           np.zeros(len(pairs)), 0, []))
     return roadmaps
 
 
@@ -214,7 +272,7 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed)
         want = {
             tid for tid, other in enumerate(tree.keys)
             if other != key and all(
-                a == b or b in rm.adjacency[a]
+                a == b or b in rm.neighbors(a)[0]
                 for a, b, rm in zip(key, other, roadmaps)
             )
         }
@@ -234,14 +292,13 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed)
 
 def expand_by_loop(tree, q_rand):
     """Per-candidate reference for _expand_candidate: norm argmin, (dist, id) ties."""
-    q_flat = np.concatenate([np.asarray(p, dtype=float) for p in q_rand.per_robot])
-    near = tree.nearest(q_flat)
+    near = tree.nearest(q_rand)
     key = tree.keys[near]
     new_key = []
     for i, rm in enumerate(tree.roadmaps):
-        target = np.asarray(q_rand.per_robot[i], dtype=float)
+        target = q_rand.reshape(len(tree.roadmaps), -1)[i]
         best = None
-        for c in [key[i]] + sorted(rm.adjacency[key[i]]):
+        for c in [key[i]] + sorted(rm.neighbors(key[i])[0].tolist()):
             dist = float(np.linalg.norm(rm.vertices[c] - target))
             if best is None or (dist, c) < best:
                 best = (dist, c)
@@ -257,7 +314,7 @@ def test_vectorised_expansion_matches_per_candidate_loop(r, n, size, seed):
     roadmaps = random_roadmaps(seed, r, n)
     tree, rng = random_tree(roadmaps, seed + 1, size)
     for _ in range(10):
-        q = cc([rng.random(2) for _ in range(r)], (0.0,) * r)
+        q = flat([rng.random(2) for _ in range(r)])
         assert _expand_candidate(tree, q) == expand_by_loop(tree, q)
 
 
@@ -269,15 +326,11 @@ def test_vectorised_expansion_matches_per_candidate_loop(r, n, size, seed):
     ((0.4025014618726901, 0.4039703948682469), (0.40250146187269, 0.403970394868247), 2),
 ])
 def test_expansion_near_ties(p1, p2, want):
-    rm = Roadmap(vertices={}, adjacency={}, start_id=0, goal_ids=[])
-    rm.add_vertex(0, np.array([1.0, 1.0]))
-    rm.add_vertex(1, np.array(p1))
-    rm.add_vertex(2, np.array(p2))
-    rm.add_edge(0, 2, 0.0)  # the higher id is inserted first
-    rm.add_edge(0, 1, 0.0)
+    # the higher id is listed first
+    rm = Roadmap.from_edges([[1.0, 1.0], p1, p2], [0, 0], [2, 1], [0.0, 0.0], 0, [])
     sc = empty_multi([SWAP_ROBOTS[0]])
     tree = _TensorTree(sc, [rm], (0.0,), 0.01, (0,))
-    q = cc([(0.0, 0.0)], (0.0,))
+    q = flat([(0.0, 0.0)])
     assert expand_by_loop(tree, q) == (0, (want,))
     assert _expand_candidate(tree, q) == (0, (want,))
 
