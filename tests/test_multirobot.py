@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoplan import (
@@ -134,7 +134,17 @@ ball_obstacle = st.builds(BallObstacle, center=point.map(np.array),
 robot_radius = st.one_of(st.sampled_from([0.0, 0.0625, 0.125]), st.floats(0.0, 0.2))
 
 
+CENTRE_BOX = BoxObstacle(lo=np.array([0.375, 0.375]), hi=np.array([0.625, 0.625]))
+
+
 @settings(max_examples=300, deadline=None)
+# one robot passes the box 3/32 away, the other far from it: the small robot
+# is clear at its own radius but not at the other's, the large one collides
+# at its own radius but not at the other's
+@example(obstacles=[CENTRE_BOX], rho=0.0625, robots=[
+    ((0.25, 0.71875), (0.75, 0.71875), 0.0625), ((0.25, 0.125), (0.75, 0.125), 0.125)])
+@example(obstacles=[CENTRE_BOX], rho=0.0625, robots=[
+    ((0.25, 0.28125), (0.75, 0.28125), 0.125), ((0.25, 0.90625), (0.75, 0.90625), 0.0625)])
 @given(obstacles=st.lists(st.one_of(box_obstacle, ball_obstacle), max_size=3),
        robots=st.integers(1, 3).flatmap(
            lambda r: st.lists(st.tuples(point, point, robot_radius), min_size=r, max_size=r)),
