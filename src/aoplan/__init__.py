@@ -81,7 +81,7 @@ from .multirobot import (
     composite_edge_valid,
     drrt_star,
 )
-from .nn import NeighborIndex
+from .nn import NeighborIndex, knn_lists, radius_pairs
 from .oracles import optimal_cost_2d_boxes, tiling_cover_check
 from .sampling import (
     DispersionReport,

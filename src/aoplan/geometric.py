@@ -24,7 +24,7 @@ from .geometry import (
     Scenario,
     as_config,
 )
-from .nn import NeighborIndex
+from .nn import NeighborIndex, knn_lists, radius_pairs
 from .sampling import sample_free
 
 RADIUS_RULES = ("prm_star", "fmt_star_constant", "rrt_star_revised", "k_prm_star", "fixed")
@@ -494,33 +494,19 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
 def _connect_prefix(run, configs, nv, rule, goal_region):
     """Build the roadmap over the first nv stored configurations."""
     d = run.scenario.dimension
-    pts = configs[:nv]
-    # the index covers exactly this prefix so neighborhoods never see
+    # the neighborhoods cover exactly this prefix, so they never see
     # samples from a later checkpoint
-    index = NeighborIndex(d)
-    for vid in range(nv):
-        index.insert(vid, pts[vid])
-
+    pts = configs[:nv]
     n_for_rule = max(nv, 2)
     use_k = rule.rule == "k_prm_star"
     if use_k:
-        k = k_connection(d, n_for_rule)
+        a, b = knn_lists(pts, k_connection(d, n_for_rule))
     else:
-        r = connection_radius(rule, n_for_rule)
-
-    near = []
-    for vid in range(nv):
-        run.nn_queries += 1
-        if use_k:
-            ids = [u for u, _ in index.k_nearest(pts[vid], k + 1) if u != vid]
-            near.append(np.array(ids[:k], dtype=np.int64))
-        else:
-            ids, _ = index.within_radius(pts[vid], r)
-            near.append(ids[ids > vid])
-    src = np.repeat(np.arange(nv, dtype=np.int64), [ids.shape[0] for ids in near])
-    dst = np.concatenate(near)
+        a, b = radius_pairs(pts, connection_radius(rule, n_for_rule))
+    # one neighborhood query per vertex
+    run.nn_queries += nv
     # canonical (min, max) orientation
-    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    a, b = np.minimum(a, b), np.maximum(a, b)
     if use_k:
         # directed k-lists may repeat a pair from both sides
         _, uniq = np.unique(a * np.int64(nv) + b, return_index=True)

@@ -1,11 +1,20 @@
-"""Exact nearest-neighbor index under the Euclidean metric.
+"""Exact nearest-neighbor search under the Euclidean metric.
 
-Backed by a contiguous grow-on-demand numpy buffer and vectorized scans,
-so query results are the linear-scan answer by construction.  Ties are
-broken by lower id.  Single writer; planners own their index exclusively.
+`NeighborIndex` is an incremental index backed by a contiguous
+grow-on-demand numpy buffer and vectorized scans, so query results are the
+linear-scan answer by construction.  Ties are broken by lower id.  Single
+writer; planners own their index exclusively.
+
+`radius_pairs` and `knn_lists` answer the same queries for every point of a
+fixed set at once, by one sweep over a uniform grid.  They compute each
+candidate distance with the index's expression, so their answers equal the
+index's, ties and duplicate points included.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -78,3 +87,134 @@ class NeighborIndex:
         cand = np.nonzero(dists <= r)[0]
         order = cand[np.lexsort((ids[cand], dists[cand]))]
         return ids[order], dists[order]
+
+
+_SLACK = 1e-9  # relative widening of a grid cell beyond the search radius
+_GRID_AXES = 4  # the grid spans at most this many of the widest axes
+_ROWS = 2048  # query rows whose candidate ranges are looked up at once
+_PAIRS = 1 << 18  # candidate pairs expanded at once, bounding memory
+
+
+def _pair_distances(points, i, j):
+    diff = points[j] - points[i]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+class _Grid:
+    """The points bucketed into cubic cells whose side is at least `side`.
+
+    Two points within distance `side` of each other lie in the same or in
+    adjacent cells on every grid axis: the cell is widened by _SLACK and by
+    a few ulps of the widest span, which covers the rounding of
+    `(p - lo) / cell`.  A cell has an int64 key in mixed radix; each
+    coordinate is shifted by one so that the neighbouring cells of the
+    outermost ones have keys too.  The cell is also never smaller than
+    span / (2**(60/g) - 3), so every key is below 2**60.
+    """
+
+    def __init__(self, points, side):
+        lo = points.min(axis=0)
+        span = points.max(axis=0) - lo
+        axes = np.argsort(-span, kind="stable")[:_GRID_AXES]
+        g = axes.shape[0]
+        widest = float(span.max())
+        cell = max(side * (1.0 + _SLACK) + 8.0 * np.finfo(float).eps * widest,
+                   widest / (2.0 ** (60.0 / g) - 3.0))
+        coords = np.floor((points[:, axes] - lo[axes]) / cell).astype(np.int64) + 1
+        radix = coords.max(axis=0) + 2
+        strides = np.ones(g, dtype=np.int64)
+        strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
+        self.key = coords @ strides
+        self.order = np.argsort(self.key, kind="stable")
+        self.sorted_key = self.key[self.order]
+        # the last axis has stride 1, so its three cells are one key range
+        steps = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)), dtype=np.int64)
+        self.offsets = steps.reshape(3 ** (g - 1), g - 1) @ strides[:-1]
+
+    def candidates(self, rows):
+        """Yield (part, local, dst): every point dst in the 3^g cells around row part[local].
+
+        `rows` is split into parts of at most _PAIRS candidates (at least
+        one row each); `local` ascends within a part.
+        """
+        for start in range(0, rows.shape[0], _ROWS):
+            block = rows[start:start + _ROWS]
+            base = self.key[block][:, None] + self.offsets
+            lo = np.searchsorted(self.sorted_key, base - 1, "left")
+            count = np.searchsorted(self.sorted_key, base + 1, "right") - lo
+            per_row = count.sum(axis=1)
+            ends = np.cumsum(per_row)
+            a = 0
+            while a < block.shape[0]:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - per_row[a] + _PAIRS, "right")))
+                c = count[a:b].ravel()
+                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+                yield block[a:b], np.repeat(np.arange(b - a), per_row[a:b]), self.order[pos]
+                a = b
+
+
+def radius_pairs(points, r: float):
+    """Every pair i < j of rows of `points` at distance <= r, as (i, j) id arrays.
+
+    A pair is in the result exactly when `NeighborIndex.within_radius`
+    from row i returns j.
+    """
+    if r <= 0.0:
+        raise UsageError("radius must be > 0")
+    points = np.asarray(points, dtype=float)
+    src = [np.empty(0, dtype=np.int64)]
+    dst = [np.empty(0, dtype=np.int64)]
+    if points.shape[0]:
+        for part, local, j in _Grid(points, r).candidates(np.arange(points.shape[0])):
+            i = part[local]
+            fwd = j > i
+            i, j = i[fwd], j[fwd]
+            keep = _pair_distances(points, i, j) <= r
+            src.append(i[keep])
+            dst.append(j[keep])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def knn_lists(points, k: int):
+    """Each row's min(k, n - 1) nearest other rows, as flat (src, dst) id arrays.
+
+    src ascends, and each row's neighbours follow in (distance, id) order:
+    row i's list is `[u for u, _ in index.k_nearest(points[i], k + 1) if
+    u != i][:k]` for a `NeighborIndex` over all rows.  The search starts
+    from the radius at which about 1.5(k + 1) points are expected in the
+    ball.  A row is settled once min(k + 1, n) points lie within the
+    radius, since then no point outside its cells can rank; the unsettled
+    rows search again at twice the radius.
+    """
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    need = min(k + 1, n)
+    widest = float(np.ptp(points, axis=0).max()) if n else 0.0
+    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    side = widest * (1.5 * (k + 1) / (max(n, 1) * ball)) ** (1.0 / d) or 1.0
+    src = [np.empty(0, dtype=np.int64)]
+    dst = [np.empty(0, dtype=np.int64)]
+    pending = np.arange(n)
+    while pending.shape[0]:
+        grid = _Grid(points, side)
+        retry = []
+        for part, local, j in grid.candidates(pending):
+            i = part[local]
+            dist = _pair_distances(points, i, j)
+            inside = dist <= side
+            settled = np.bincount(local[inside], minlength=part.shape[0]) >= need
+            retry.append(part[~settled])
+            sel = inside & settled[local] & (j != i)
+            local, j, dist = local[sel], j[sel], dist[sel]
+            order = np.lexsort((j, dist, local))
+            local, j = local[order], j[order]
+            keep = np.arange(local.shape[0]) - np.searchsorted(local, local) < k
+            src.append(part[local[keep]])
+            dst.append(j[keep])
+        pending = np.concatenate(retry)
+        side *= 2.0
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order]

@@ -25,8 +25,10 @@ from aoplan import (
     connection_radius,
     drrt_star,
     k_connection,
+    knn_lists,
     measure_dispersion,
     path_clearance,
+    radius_pairs,
     refine_path,
     rgg_connectivity_radius,
     rows_to_csv,
@@ -197,9 +199,26 @@ def test_criterion_3_nn_oracle_equivalence():
         for r in (0.05, 0.2):
             if idx.within_radius(q, r)[0].tolist() != oracle(tuple(q), radius=r):
                 mismatches += 1
+    # the batch sweeps answer for all 1000 points at once
+    def rows_of(src, dst):
+        rows = [[] for _ in items]
+        for v, u in zip(src.tolist(), dst.tolist()):
+            rows[v].append(u)
+        return rows
+
+    for r in (0.05, 0.2):
+        for v, row in enumerate(rows_of(*radius_pairs(pts, r))):
+            # a radius row's pairs come in no set order
+            if sorted(row) != sorted(u for u in oracle(items[v][1], radius=r) if u > v):
+                mismatches += 1
+    for k in (8, 32):
+        for v, row in enumerate(rows_of(*knn_lists(pts, k))):
+            if row != [u for u in oracle(items[v][1], k=k + 1) if u != v][:k]:
+                mismatches += 1
     elapsed = time.perf_counter() - t0
     verdict("C3 nn-oracle", mismatches == 0 and elapsed < 5.0,
-            f"{mismatches} mismatches over 500 queries in {elapsed:.2f}s")
+            f"{mismatches} mismatches over 500 queries and 4 x 1000 sweep rows "
+            f"in {elapsed:.2f}s")
 
 
 def test_criterion_4_kinematic_convergence(kinematic_rows):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from aoplan import NeighborIndex, UsageError
+from aoplan import NeighborIndex, UsageError, knn_lists, radius_pairs
 
 
 def linear_scan(points, q, k=None, radius=None):
@@ -129,3 +129,97 @@ def test_radius_monotone_and_knn_permutation(pts, q, r1, r2):
     assert sorted(i for i, _ in allk) == list(range(len(pts)))
     dists = [d for _, d in allk]
     assert dists == sorted(dists)
+
+
+# --- batch sweeps against the index ------------------------------------------
+
+
+def _index_over(points):
+    idx = NeighborIndex(points.shape[1])
+    for i, p in enumerate(points):
+        idx.insert(i, p)
+    return idx
+
+
+def index_radius_pairs(points, r):
+    """Oracle: pairs (v, u), v < u, from one within_radius query per row."""
+    idx = _index_over(points)
+    return sorted((v, u) for v, p in enumerate(points)
+                  for u in idx.within_radius(p, r)[0].tolist() if u > v)
+
+
+def index_knn_lists(points, k):
+    """Oracle: each row's k-list as the roadmap planner built it from the index."""
+    idx = _index_over(points)
+    return [(v, u) for v, p in enumerate(points)
+            for u in [u for u, _ in idx.k_nearest(p, k + 1) if u != v][:k]]
+
+
+def assert_sweeps_match_index(points, r, k):
+    src, dst = radius_pairs(points, r)
+    assert sorted(zip(src.tolist(), dst.tolist())) == index_radius_pairs(points, r)
+    src, dst = knn_lists(points, k)
+    assert list(zip(src.tolist(), dst.tolist())) == index_knn_lists(points, k)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(points, r, k) in d = 1..4, often with ties, cell-face points or outliers."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates", "cluster"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.floats(1e-3, 1.5))
+    if kind == "uniform":
+        points = rng.random((n, d))
+    elif kind == "lattice":
+        # coordinates are multiples of the radius, so points sit on cell faces
+        points = rng.integers(-3, 4, (n, d)) * r + draw(st.sampled_from([0.0, 0.5, 7.0]))
+    elif kind == "duplicates":
+        pool = rng.random((draw(st.integers(1, 4)), d))
+        points = pool[rng.integers(0, pool.shape[0], n)]
+    else:
+        # a tight cluster plus far outliers: the outliers' k-lists need retries
+        points = np.vstack([0.5 + 1e-6 * rng.random((n, d)),
+                            rng.uniform(-50.0, 50.0, (draw(st.integers(1, 3)), d))])
+    if draw(st.booleans()) and points.shape[0] > 1:
+        # the radius is exactly one pair's distance
+        i, j = rng.choice(points.shape[0], 2, replace=False)
+        diff = points[[j]] - points[[i]]
+        exact = float(np.sqrt(np.einsum("ij,ij->i", diff, diff))[0])
+        r = exact if exact > 0.0 else r
+    k = draw(st.integers(1, points.shape[0] + 2))  # k + 1 >= nv is included
+    return points, r, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+@example(case=(np.arange(12, dtype=float).reshape(6, 2) * 0.1, 0.1, 3))
+@example(case=(np.array([[0.3], [0.4], [0.2], [0.3], [0.5]]), 0.1, 2))
+def test_sweeps_match_index(case):
+    assert_sweeps_match_index(*case)
+
+
+def test_sweeps_keep_pairs_at_a_tiny_radius_in_d4():
+    # 1e6 cells per axis would overflow an int64 key in four dimensions
+    rng = np.random.default_rng(3)
+    base = rng.random((150, 4))
+    near = base[:50] + rng.uniform(-4e-7, 4e-7, (50, 4))
+    points = np.vstack([base, near, base[:5]])
+    src, dst = radius_pairs(points, 1e-6)
+    # each near point with its base point, each copy with its base point,
+    # and for the first five both with each other
+    assert len(src) == 50 + 5 + 5
+    assert_sweeps_match_index(points, 1e-6, 4)
+
+
+def test_sweeps_on_few_points_and_bad_arguments():
+    one = np.array([[0.5, 0.5]])
+    assert [a.tolist() for a in radius_pairs(one, 0.1)] == [[], []]
+    assert [a.tolist() for a in knn_lists(one, 3)] == [[], []]
+    three = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert_sweeps_match_index(three, 1.0, 5)
+    with pytest.raises(UsageError):
+        radius_pairs(three, 0.0)
+    with pytest.raises(UsageError):
+        knn_lists(three, 0)
