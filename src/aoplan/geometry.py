@@ -5,7 +5,8 @@ obstacles.  Validity, edge and clearance predicates are vectorized over
 numpy arrays; a segment is checked at a fixed subdivision resolution and
 the batched checker prunes subdivision points that provably cannot lie
 inside an obstacle, so its verdict is identical to checking every point.
-A single point or segment takes a plain-Python path with the same verdict.
+A single point, segment or composite edge takes a plain-Python path with the
+same verdict.
 """
 
 from __future__ import annotations
@@ -469,6 +470,133 @@ def _segment_free(bounds, a, b, rho: float, margin: float) -> bool:
             if _hit(ob, p, margin):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# composite edges: every robot moves at once
+#
+# Robot i of a composite edge a -> b stands at (k/m)*s_i + a_i, s_i = b_i - a_i,
+# for k = 0..m, with one m for all robots from the longest step.  Each point
+# must lie in the domain and clear every obstacle inflated by the robot's
+# radius, and each robot pair must stay at least its radii sum apart.
+
+# relative rounding tolerance of the one-item composite check; errors in its
+# float arithmetic are about 1e-15 of the scene's scale
+_COMPOSITE_TOL = 1e-9
+
+
+def _composite_rows(scenario: Scenario, a, b, radii, rho: float) -> bool:
+    """Composite edge check over all m + 1 rows of every robot at once."""
+    radii = np.asarray(radii, dtype=float)
+    pa = np.array(a, dtype=float)
+    step = np.array(b, dtype=float) - pa
+    # vecdot is bit-equal to the 1-D np.linalg.norm of each robot's step
+    m = max(1, int(np.ceil(np.sqrt(np.vecdot(step, step)).max() / rho)))
+    # (m + 1, robots, d): row k puts robot i at t_k * (b_i - a_i) + a_i
+    tracks = (np.arange(m + 1) / m)[:, None, None] * step + pa
+    rows = tracks.reshape(-1, pa.shape[1])
+    if not points_valid(scenario, rows, margin=np.tile(radii, m + 1)).all():
+        return False
+    k = np.arange(len(radii))
+    i, j = np.nonzero(k[:, None] < k)
+    gap = np.linalg.norm(tracks[:, i] - tracks[:, j], axis=-1)
+    return not np.any(gap < radii[i] + radii[j])
+
+
+def _composite_free(bounds, a, b, radii, rho: float):
+    """_composite_rows for one composite edge in plain Python, or None.
+
+    a and b hold one list of floats per robot.  Points, obstacle hits and
+    pair gaps are computed as the batch computes them; the batch evaluates
+    every row, this check only those that can decide the verdict:
+    - the domain is a box and rounding is monotone, so every computed
+      point of a track lies between its first and last (k = m, computed as
+      1.0*s + a), and the track is inside when both of them are;
+    - per robot and obstacle, the _interval indices with +-1 slack, the
+      interval taken with the margin widened by the tolerance;
+    - per robot pair, the gap |D + tV| is convex in t, so only the indices
+      next to its minimiser, widened by the minimiser's rounding error.
+    Returns None when rounding could separate its verdict from the batch's:
+    a step count near an integer (vecdot may fuse multiply-adds) or a gap
+    within the tolerance of the radii sum.
+    """
+    lo, hi, obstacles = bounds
+    tol = _COMPOSITE_TOL * (1.0 + max(map(abs, lo + hi)))
+    steps = [[y - x for x, y in zip(p, q)] for p, q in zip(a, b)]
+    sss = []
+    for s in steps:
+        acc = 0.0
+        for t in s:
+            acc += t * t
+        sss.append(acc)
+    span = math.sqrt(max(sss)) / rho
+    n = round(span)
+    if n and abs(span - n) <= _COMPOSITE_TOL * span:
+        return None
+    m = max(1, math.ceil(span))
+    for p, s in zip(a, steps):
+        for x, y, l, h in zip(p, s, lo, hi):
+            if not (l <= x <= h and l <= y + x <= h):
+                return False
+    for p, s, ss, r in zip(a, steps, sss, radii):
+        for ob in obstacles:
+            t0, t1 = _interval(ob, p, s, ss, r + tol)
+            if not t0 <= t1:
+                continue
+            for k in range(max(0, math.floor(t0 * m) - 1), min(m, math.ceil(t1 * m) + 1) + 1):
+                t = k / m
+                if _hit(ob, [t * y + x for x, y in zip(p, s)], r):
+                    return False
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            pi, pj, si, sj = a[i], a[j], steps[i], steps[j]
+            dd = dv = vv = 0.0
+            for x, y, u, w in zip(pi, pj, si, sj):
+                dx = x - y
+                du = u - w
+                dd += dx * dx
+                dv += dx * du
+                vv += du * du
+            if vv == 0.0:
+                # the robots move in parallel: every exact gap equals the first
+                k0 = k1 = 0
+            else:
+                tc = -dv / vv
+                # tc is off by at most about (d + 3) ulp * (|D|/|V| + |tc|)
+                eta = 1e-12 * (math.sqrt(dd / vv) + abs(tc) + 1.0)
+                if eta < 1.0:
+                    k0 = max(0, math.floor(min(max(tc - eta, 0.0), 1.0) * m) - 1)
+                    k1 = min(m, math.ceil(min(max(tc + eta, 0.0), 1.0) * m) + 1)
+                else:
+                    k0, k1 = 0, m
+            rr = radii[i] + radii[j]
+            for k in range(k0, k1 + 1):
+                t = k / m
+                acc = 0.0
+                for x, y, u, w in zip(pi, pj, si, sj):
+                    g = (t * u + x) - (t * w + y)
+                    acc += g * g
+                gap = math.sqrt(acc)
+                if gap < rr + tol:
+                    return False if gap <= rr - tol else None
+    return True
+
+
+def _composite_valid(scenario: Scenario, a, b, radii, rho: float) -> bool:
+    """Composite edge check from per-robot positions a to b.
+
+    The one-item check decides; where rounding leaves it unsure, the batch
+    rows do, so the verdict is always the batch's.
+    """
+    if rho <= 0.0:
+        raise UsageError("resolution rho must be > 0")
+    a = [p if type(p) is list else list(map(float, p)) for p in a]
+    b = [p if type(p) is list else list(map(float, p)) for p in b]
+    if not a or any(len(p) != scenario.dimension for p in a + b):
+        raise UsageError(f"composite configurations need {scenario.dimension}-D positions")
+    radii = list(map(float, radii))
+    ok = _composite_free(scenario._bounds, a, b, radii, rho)
+    return _composite_rows(scenario, a, b, radii, rho) if ok is None else ok
 
 
 def _floats(q, d: int, what: str) -> list:

@@ -9,13 +9,14 @@ tensor vertex is represented as a plain tuple of per-robot vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import AuditError, SaturationError, UsageError
 from .geometric import PlanResult, SearchTree, _Run, _cheapest, prm_star
-from .geometry import Scenario, points_valid
+from .geometry import Scenario, _composite_valid, points_valid
 
 # a tensor vertex is one roadmap vertex id per robot
 TensorVertex = Tuple[int, ...]
@@ -87,22 +88,9 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
     """
     if a.num_robots != b.num_robots:
         raise UsageError("composite configurations have different robot counts")
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
-    radii = np.asarray(a.robot_radii, dtype=float)
-    pa = np.array(a.per_robot, dtype=float)
-    step = np.array(b.per_robot, dtype=float) - pa
-    # vecdot is bit-equal to the 1-D np.linalg.norm of each robot's step
-    m = max(1, int(np.ceil(np.sqrt(np.vecdot(step, step)).max() / rho)))
-    # (m + 1, robots, d): row k puts robot i at t_k * (b_i - a_i) + a_i
-    tracks = (np.arange(m + 1) / m)[:, None, None] * step + pa
-    rows = tracks.reshape(-1, pa.shape[1])
-    if not points_valid(scenario, rows, margin=np.tile(radii, m + 1)).all():
-        return False
-    k = np.arange(len(radii))
-    i, j = np.nonzero(k[:, None] < k)
-    gap = np.linalg.norm(tracks[:, i] - tracks[:, j], axis=-1)
-    return not np.any(gap < radii[i] + radii[j])
+    if tuple(a.robot_radii) != tuple(b.robot_radii):
+        raise UsageError("composite configurations have different robot radii")
+    return _composite_valid(scenario, a.per_robot, b.per_robot, a.robot_radii, rho)
 
 
 class _TensorTree(SearchTree):
@@ -121,6 +109,8 @@ class _TensorTree(SearchTree):
         self.d = scenario.dimension
         self.keys = []
         self.key_to_id = {}
+        # row nid holds tree vertex nid's key, for the distance tables
+        self.key_rows = np.empty((256, self.r), dtype=np.int64)
         # per robot: roadmap vertex -> ids of the tree vertices standing on it
         self.buckets = [[[] for _ in range(len(rm.vertices))] for rm in roadmaps]
         # per robot: vertex -> closed_neighborhood(i, vertex)
@@ -131,15 +121,11 @@ class _TensorTree(SearchTree):
         self._index(root_key, 0)
 
     def config_of(self, key) -> np.ndarray:
-        return np.concatenate([
-            self.roadmaps[i].vertices[key[i]] for i in range(self.r)
-        ])
+        return np.concatenate([rm.vertices[v] for rm, v in zip(self.roadmaps, key)])
 
     def composite(self, key) -> CompositeConfig:
-        return CompositeConfig(
-            per_robot=tuple(self.roadmaps[i].vertices[key[i]] for i in range(self.r)),
-            robot_radii=self.radii,
-        )
+        per_robot = tuple(rm.vertices[v].tolist() for rm, v in zip(self.roadmaps, key))
+        return CompositeConfig(per_robot, self.radii)
 
     def add(self, key, parent: int, edge_cost: float) -> int:
         nid = super().add(self.config_of(key), parent, edge_cost)
@@ -149,14 +135,29 @@ class _TensorTree(SearchTree):
     def _index(self, key, nid: int) -> None:
         self.keys.append(key)
         self.key_to_id[key] = nid
+        if nid == len(self.key_rows):
+            self.key_rows = np.concatenate([self.key_rows, np.zeros_like(self.key_rows)])
+        self.key_rows[nid] = key
         for bucket, v in zip(self.buckets, key):
             bucket[v].append(nid)
 
+    def distances(self, q_flat: np.ndarray) -> np.ndarray:
+        """Summed per-robot Euclidean distance from q_flat to every tree vertex.
+
+        One table per robot over its roadmap vertices, gathered through the
+        key rows and summed robot after robot: bit-equal to the einsum over
+        every tree vertex's configuration.
+        """
+        dist = 0.0
+        keys = self.key_rows[: self.size]
+        for rm, col, q in zip(self.roadmaps, keys.T, q_flat.reshape(self.r, self.d)):
+            diff = rm.vertices - q
+            dist = dist + np.sqrt(np.einsum("ij,ij->i", diff, diff))[col]
+        return dist
+
     def nearest(self, q_flat: np.ndarray) -> int:
-        """Tree vertex minimizing the summed per-robot Euclidean distance."""
-        diff = (self.configs - q_flat).reshape(-1, self.r, self.d)
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
-        return int(np.argmin(dist))
+        """Tree vertex with the least distances entry; ties go to the lowest id."""
+        return int(np.argmin(self.distances(q_flat)))
 
     def closed_neighborhood(self, i: int, v: int):
         """Sorted ids of robot i's vertex v and its roadmap neighbours, with coordinates."""
@@ -288,14 +289,10 @@ def drrt_star(
     root_key = tuple(0 for _ in robots)
     tree = _TensorTree(scenario, roadmaps, radii, rho, root_key)
 
-    start_cc = tree.composite(root_key)
-    for i in range(len(robots)):
-        for j in range(i + 1, len(robots)):
-            gap = float(np.linalg.norm(
-                np.asarray(start_cc.per_robot[i]) - np.asarray(start_cc.per_robot[j])
-            ))
-            if gap < radii[i] + radii[j]:
-                raise UsageError(f"robots {i} and {j} overlap at their starts")
+    for i, j in combinations(range(len(robots)), 2):
+        gap = float(np.linalg.norm(roadmaps[i].vertices[0] - roadmaps[j].vertices[0]))
+        if gap < radii[i] + radii[j]:
+            raise UsageError(f"robots {i} and {j} overlap at their starts")
 
     goal_sets = [
         {v for v, q in enumerate(rm.vertices) if rb.goal.contains(q)}

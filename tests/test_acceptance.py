@@ -182,22 +182,26 @@ def test_criterion_3_nn_oracle_equivalence():
         idx.insert(i, p)
         items.append((i, tuple(p)))
 
-    def oracle(q, k=None, radius=None):
-        scored = sorted(
+    def scored(q):
+        """Every point's (distance, id) from q, sorted once and reused per k and radius."""
+        return sorted(
             (math.sqrt((px - q[0]) ** 2 + (py - q[1]) ** 2), pid)
             for pid, (px, py) in items
         )
+
+    def oracle(ranked, k=None, radius=None):
         if radius is not None:
-            return [pid for d, pid in scored if d <= radius]
-        return [pid for _, pid in scored[:k]]
+            return [pid for d, pid in ranked if d <= radius]
+        return [pid for _, pid in ranked[:k]]
 
     mismatches = 0
     for q in rng.random((100, 2)):
+        ranked = scored(tuple(q))
         for k in (1, 8, 32):
-            if [i for i, _ in idx.k_nearest(q, k)] != oracle(tuple(q), k=k):
+            if [i for i, _ in idx.k_nearest(q, k)] != oracle(ranked, k=k):
                 mismatches += 1
         for r in (0.05, 0.2):
-            if idx.within_radius(q, r)[0].tolist() != oracle(tuple(q), radius=r):
+            if idx.within_radius(q, r)[0].tolist() != oracle(ranked, radius=r):
                 mismatches += 1
     # the batch sweeps answer for all 1000 points at once
     def rows_of(src, dst):
@@ -206,14 +210,15 @@ def test_criterion_3_nn_oracle_equivalence():
             rows[v].append(u)
         return rows
 
+    ranked = [scored(p) for _, p in items]
     for r in (0.05, 0.2):
         for v, row in enumerate(rows_of(*radius_pairs(pts, r))):
             # a radius row's pairs come in no set order
-            if sorted(row) != sorted(u for u in oracle(items[v][1], radius=r) if u > v):
+            if sorted(row) != sorted(u for u in oracle(ranked[v], radius=r) if u > v):
                 mismatches += 1
     for k in (8, 32):
         for v, row in enumerate(rows_of(*knn_lists(pts, k))):
-            if row != [u for u in oracle(items[v][1], k=k + 1) if u != v][:k]:
+            if row != [u for u in oracle(ranked[v], k=k + 1) if u != v][:k]:
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     verdict("C3 nn-oracle", mismatches == 0 and elapsed < 5.0,

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from aoplan import (
     segments_valid,
     shortest_path,
 )
+from aoplan.geometry import _composite_free, _composite_rows
 from aoplan.multirobot import _expand_candidate, _TensorTree
 
 
@@ -159,11 +161,89 @@ def test_composite_edge_valid_matches_per_robot_loop(obstacles, robots, rho):
     assert composite_edge_valid(sc, a, b, rho) == composite_edge_valid_by_loop(sc, a, b, rho)
 
 
+def unit_box_scenario(d, obstacles=()):
+    # built directly: a parsed scenario would reject robots that start in collision
+    return Scenario(dimension=d, domain=Box(lo=np.zeros(d), hi=np.ones(d)),
+                    obstacles=tuple(obstacles), start=None, goal=None)
+
+
+def composite_case(d):
+    """(d, obstacles, robots, rho) on the unit box, coordinates often on the sixteenth grid."""
+    pt = st.tuples(*[coordinate] * d)
+    box = st.tuples(pt, pt).map(lambda pq: BoxObstacle(lo=np.minimum(*pq), hi=np.maximum(*pq)))
+    ball = st.builds(BallObstacle, center=pt.map(np.array),
+                     radius=st.integers(1, 4).map(lambda k: k / 16))
+    robots = st.integers(1, 3).flatmap(
+        lambda r: st.lists(st.tuples(pt, pt, robot_radius), min_size=r, max_size=r))
+    return st.tuples(st.just(d), st.lists(st.one_of(box, ball), max_size=3), robots,
+                     st.sampled_from([0.01, 0.0625, 0.3]))
+
+
+def one_item_and_rows(case):
+    d, obstacles, robots, rho = case
+    sc = unit_box_scenario(d, obstacles)
+    a = [[float(x) for x in start] for start, _, _ in robots]
+    b = [[float(x) for x in end] for _, end, _ in robots]
+    radii = [float(radius) for _, _, radius in robots]
+    rows = _composite_rows(sc, a, b, radii, rho)
+    return sc, a, b, radii, _composite_free(sc._bounds, a, b, radii, rho), rows
+
+
+# the exact-contact pair of test_contact_separation_is_allowed, at a spacing
+# whose subdivision count is not near an integer
+CONTACT_CASE = (2, [], [((0.25, 0.25), (0.75, 0.25), 0.0625),
+                        ((0.25, 0.375), (0.75, 0.375), 0.0625)], 0.3)
+# a step of exactly 8 subdivisions, where vecdot's rounding decides m
+WHOLE_STEP_CASE = (3, [], [((0.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0625)], 0.0625)
+# tracks that start on the domain boundary, or leave it by one ulp; computed
+# points lie between a track's first and last, so these need no fallback
+WALL_CASE = (2, [], [((0.0, 0.5), (0.4, 0.8), 0.0625)], 0.3)
+OUT_BY_ULP_CASE = (2, [], [((0.5, 0.5), (1.0 + 2.0 ** -52, 0.75), 0.0625)], 0.3)
+# b touches the box, but the last point, computed as 1.0*(b - a) + a, stops
+# one ulp short of it
+SHORT_OF_BOX_CASE = (2, [BoxObstacle(lo=np.array([0.1, 0.4]), hi=np.array([0.3, 0.6]))],
+                     [((0.8132702392002724, 0.5), (0.3, 0.5), 0.0)], 0.3)
+
+
+@pytest.mark.parametrize("case", [CONTACT_CASE, WHOLE_STEP_CASE])
+def test_one_item_composite_check_defers_near_rounding(case):
+    sc, a, b, radii, got, rows = one_item_and_rows(case)
+    assert got is None
+    assert composite_edge_valid(sc, cc(a, radii), cc(b, radii), case[3]) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=CONTACT_CASE)
+@example(case=WALL_CASE)
+@example(case=WHOLE_STEP_CASE)
+@example(case=OUT_BY_ULP_CASE)
+@example(case=SHORT_OF_BOX_CASE)
+@given(case=st.sampled_from([2, 3]).flatmap(composite_case))
+def test_one_item_composite_check_matches_batch_rows(case):
+    sc, a, b, radii, got, rows = one_item_and_rows(case)
+    # a verdict is the batch's; None leaves composite_edge_valid to the batch
+    assert got is None or got == rows
+    assert composite_edge_valid(sc, cc(a, radii), cc(b, radii), case[3]) == rows
+
+
+@pytest.mark.parametrize("case, want", [
+    (WALL_CASE, True), (OUT_BY_ULP_CASE, False), (SHORT_OF_BOX_CASE, True)])
+def test_one_item_composite_check_decides_on_boundaries(case, want):
+    assert one_item_and_rows(case)[-2:] == (want, want)
+
+
 def test_mismatched_robot_counts_rejected():
     sc = empty_multi(SWAP_ROBOTS)
     with pytest.raises(UsageError):
         composite_edge_valid(sc, cc([(0.1, 0.1)], [0.05]),
                              cc([(0.2, 0.2), (0.3, 0.3)], [0.05, 0.05]), 0.01)
+
+
+def test_mismatched_robot_radii_rejected():
+    sc = empty_multi(SWAP_ROBOTS)
+    with pytest.raises(UsageError):
+        composite_edge_valid(sc, cc([(0.1, 0.1), (0.9, 0.9)], [0.05, 0.05]),
+                             cc([(0.2, 0.2), (0.8, 0.8)], [0.05, 0.04]), 0.01)
 
 
 # --- expansion ---------------------------------------------------------------
@@ -257,7 +337,7 @@ def random_roadmaps(seed, r, n, d=2):
 
 def random_tree(roadmaps, seed, size):
     r = len(roadmaps)
-    sc = empty_multi([SWAP_ROBOTS[0]] * r)
+    sc = unit_box_scenario(roadmaps[0].vertices.shape[1])
     tree = _TensorTree(sc, roadmaps, (0.0,) * r, 0.01, (0,) * r)
     rng = np.random.default_rng(seed)
     n = len(roadmaps[0].vertices)
@@ -298,6 +378,52 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed)
             # staying put costs 0 in every robot
             own = tree.key_to_id[key]
             assert tree.edge_costs(key, [own]) == {own: 0.0}
+
+
+def distances_by_full_scan(tree, q_flat):
+    """The einsum over every tree vertex's configuration that the tables replaced."""
+    diff = (tree.configs - q_flat).reshape(-1, tree.r, tree.d)
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
+
+
+def grid_roadmaps(seed, r, n, d):
+    """r edgeless roadmaps on the quarter grid, so distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    return [Roadmap.from_edges(rng.integers(0, 5, (n, d)) / 4, [], [], [], 0, [])
+            for _ in range(r)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(1, 3), d=st.sampled_from([2, 3]), n=st.integers(2, 30),
+       size=st.integers(0, 300), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tensor_distances_match_full_scan(r, d, n, size, grid, seed):
+    roadmaps = (grid_roadmaps if grid else random_roadmaps)(seed, r, n, d)
+    tree, rng = random_tree(roadmaps, seed + 1, size)
+    # random samples, and quarter-grid samples equidistant from many vertices
+    queries = [rng.random(r * d) for _ in range(5)]
+    queries += [rng.integers(0, 5, r * d) / 4 for _ in range(5)]
+    for q in queries:
+        want = distances_by_full_scan(tree, q)
+        assert np.array_equal(tree.distances(q), want)
+        assert tree.nearest(q) == np.flatnonzero(want == want.min())[0]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_nearest_ties_go_to_the_lowest_id(r, d):
+    # the root stands far away; every other vertex stands on corners of the
+    # unit cube, all equidistant from its centre
+    corners = [[(c >> j) & 1 for j in range(d)] for c in range(2 ** d)]
+    rm = Roadmap.from_edges([[3.0] * d] + corners, [], [], [], 0, [])
+    tree = _TensorTree(unit_box_scenario(d), [rm] * r, (0.0,) * r, 0.01, (0,) * r)
+    keys = list(itertools.product(range(1, 2 ** d + 1), repeat=r))
+    for i in np.random.default_rng(r * d).permutation(len(keys))[:20]:
+        tree.add(keys[i], 0, 0.0)
+    q = np.full(r * d, 0.5)
+    want = distances_by_full_scan(tree, q)
+    assert np.array_equal(tree.distances(q), want)
+    assert np.all(want[1:] == want[1]) and want[0] > want[1]
+    assert tree.nearest(q) == 1
 
 
 def expand_by_loop(tree, q_rand):
