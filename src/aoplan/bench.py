@@ -95,7 +95,8 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
     max_attempts = int(p.pop("max_attempts", 10_000))
     eta = p.pop("eta", None)
     eta = 0.1 * scenario.diagonal if eta is None else float(eta)
-    goal_bias = float(p.pop("goal_bias", 0.05))
+    # only a set goal_bias is passed on, so each tree planner keeps its own default
+    bias = {"goal_bias": float(p.pop("goal_bias"))} if "goal_bias" in p else {}
 
     if planner in ("prm-star", "k-prm-star"):
         kind = "k_prm_star" if planner == "k-prm-star" else p.pop("radius_rule", "prm_star")
@@ -103,17 +104,17 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
         return prm_star(scenario, stream, n, rule, resolution=resolution,
                         checkpoints=checkpoints, max_attempts=max_attempts)
     if planner == "rrt":
-        return rrt(scenario, stream, n, eta, goal_bias, resolution=resolution,
-                   checkpoints=checkpoints, max_attempts=max_attempts)
+        return rrt(scenario, stream, n, eta, resolution=resolution,
+                   checkpoints=checkpoints, max_attempts=max_attempts, **bias)
     if planner == "rrt-star":
         kind = p.pop("radius_rule", "rrt_star_revised")
         eta_max = p.pop("eta_max", None)
         rule = default_rule(kind, scenario, **_rule_kwargs(p))
-        return rrt_star(scenario, stream, n, eta, rule, goal_bias,
+        return rrt_star(scenario, stream, n, eta, rule,
                         eta_max=None if eta_max is None else float(eta_max),
                         resolution=resolution, checkpoints=checkpoints,
                         max_attempts=max_attempts,
-                        audit_every=p.pop("audit_every", None))
+                        audit_every=p.pop("audit_every", None), **bias)
     if planner in ("sst", "ao-rrt", "ao-meta"):
         system = SYSTEMS[p.pop("system", "integrator2d")]()
         if planner == "sst":
@@ -150,7 +151,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
         return drrt_star(scenario, None, stream, n_roadmap, n, rule,
                          resolution=resolution, checkpoints=checkpoints,
                          max_attempts=max_attempts,
-                         audit_every=p.pop("audit_every", None))
+                         audit_every=p.pop("audit_every", None), **bias)
     raise UsageError(f"unknown planner {planner!r}")
 
 

@@ -690,8 +690,6 @@ def rrt_star(
 
     if rule.rule == "rrt_star_revised" and rule.c_star_estimate is None:
         rule = replace(rule, c_star_estimate=scenario.diagonal * scenario.dimension)
-    coef = None if rule.rule == "fixed" else _radius_coefficient(rule)
-    exponent = 1.0 / (rule.d + 1.0) if rule.rule == "rrt_star_revised" else 1.0 / rule.d
 
     tree = SearchTree(start)
     index = NeighborIndex(scenario.dimension)
@@ -708,12 +706,7 @@ def rrt_star(
         near = index.nearest_id(target)
         v = steer(tree.config(near), target, eta)
         if not np.array_equal(v, tree.config(near)):
-            if rule.rule == "fixed":
-                r = rule.safety_factor * rule.fixed_radius
-            else:
-                nv = max(tree.size, 2)
-                r = coef * (math.log(nv) / nv) ** exponent
-            r = min(r, eta_max)
+            r = min(connection_radius(rule, max(tree.size, 2)), eta_max)
             run.nn_queries += 1
             ids, dists = index.within_radius(v, r)
             # edge verdicts by position in the near set, shared with the rewire walk
@@ -738,7 +731,6 @@ def rrt_star(
                         first_cost = float(tree.cost[vid])
                         if rule.rule == "rrt_star_revised":
                             rule = replace(rule, c_star_estimate=first_cost)
-                            coef = _radius_coefficient(rule)
                 base = tree.cost[vid]
                 for j in np.nonzero(base + dists < tree.cost[ids])[0].tolist():
                     u = int(ids[j])

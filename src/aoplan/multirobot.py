@@ -305,20 +305,30 @@ def drrt_star(
     goal_ids = [0] if is_goal(root_key) else []
     goal_sample = np.concatenate([rb.goal.center for rb in robots])
 
-    def relax_vertex(nid: int) -> None:
-        """Choose-parent and rewire nid against its discovered neighbors."""
-        key = tree.keys[nid]
+    def settle(key, nid) -> None:
+        """Choose-parent, then rewire, over one pass of key's discovered neighbours.
+
+        A key not in the tree yet (nid None) joins it under the first
+        neighbour with a valid edge; a tree vertex moves only to a strictly
+        cheaper one, so the root (cost 0) never moves.
+        """
         cands = tree.discovered_neighbors(key)
         weights = tree.edge_costs(key, cands)
         order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
-        if nid != 0:
-            for c in order:
-                if tree.cost[c] + weights[c] >= tree.cost[nid]:
-                    break
-                if tree.valid_edge_to(run.checker, tree.keys[c], key):
+        for c in order:
+            if nid is not None and tree.cost[c] + weights[c] >= tree.cost[nid]:
+                break
+            if tree.valid_edge_to(run.checker, tree.keys[c], key):
+                if nid is None:
+                    nid = tree.add(key, c, weights[c])
+                    if is_goal(key):
+                        goal_ids.append(nid)
+                else:
                     tree.reparent(nid, c, weights[c])
                     run.rewires += 1
-                    break
+                break
+        if nid is None:
+            return
         for c in order:
             if c == tree.parent[nid]:
                 continue
@@ -336,27 +346,13 @@ def drrt_star(
         run.nn_queries += 1
         expansion = _expand_candidate(tree, q_rand)
         if expansion is not None:
-            _, new_key = expansion
-            nid = tree.key_to_id.get(new_key)
-            if nid is None:
-                cands = tree.discovered_neighbors(new_key)
-                weights = tree.edge_costs(new_key, cands)
-                order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
-                parent = None
-                for c in order:
-                    if tree.valid_edge_to(run.checker, tree.keys[c], new_key):
-                        parent = c
-                        break
-                if parent is not None:
-                    nid = tree.add(new_key, parent, weights[parent])
-                    if is_goal(new_key):
-                        goal_ids.append(nid)
-            if nid is not None:
-                relax_vertex(nid)
+            new_key = expansion[1]
+            settle(new_key, tree.key_to_id.get(new_key))
         # deterministic sweep so relaxations reach vertices greedy
         # expansion never targets; keeps the discovered subgraph at the
         # Bellman fixed point given enough iterations
-        relax_vertex(it % tree.size)
+        sweep = it % tree.size
+        settle(tree.keys[sweep], sweep)
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
         if it in run.due:

@@ -7,13 +7,12 @@ admits the clearance volume the convergence arguments assume.
 
 from __future__ import annotations
 
-import math
-from heapq import heappush, heappop
 from typing import Optional
 
 import numpy as np
 
 from .errors import UsageError
+from .geometric import Roadmap, shortest_path
 from .geometry import (
     BoxObstacle,
     Path,
@@ -50,8 +49,9 @@ def optimal_cost_2d_boxes(
     """Shortest start-to-goal-center cost through the visibility graph.
 
     Only defined for 2-D scenarios with box obstacles; exact up to the
-    eps_vg corner inflation.  Returns None when start and goal are
-    disconnected.
+    eps_vg corner inflation.  The valid edges form a Roadmap with no goal
+    region, so shortest_path solves it as Dijkstra.  Returns None when
+    start and goal are disconnected.
     """
     if scenario.dimension != 2:
         raise UsageError("the box-scene oracle is 2-D only")
@@ -66,36 +66,16 @@ def optimal_cost_2d_boxes(
     n = len(verts)
     pts = np.asarray(verts)
 
-    # all-pairs candidate edges, validated at the fine oracle resolution
-    ia, ib = np.triu_indices(n, k=1)
-    valid = segments_valid(scenario, pts[ia], pts[ib], resolution)
-    weights = np.linalg.norm(pts[ia] - pts[ib], axis=1)
-    adj = [[] for _ in range(n)]
-    for a, b, ok, w in zip(ia, ib, valid, weights):
-        if ok:
-            adj[a].append((int(b), float(w)))
-            adj[b].append((int(a), float(w)))
-
-    if scenario.start is not None and float(np.linalg.norm(pts[0] - pts[1])) == 0.0:
+    if float(np.linalg.norm(pts[0] - pts[1])) == 0.0:
         return 0.0
 
-    dist = [math.inf] * n
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    done = [False] * n
-    while heap:
-        dv, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        if v == 1:
-            return dv
-        for u, w in adj[v]:
-            nd = dv + w
-            if nd < dist[u]:
-                dist[u] = nd
-                heappush(heap, (nd, u))
-    return None
+    # all-pairs candidate edges, validated at the fine oracle resolution
+    ia, ib = np.triu_indices(n, k=1)
+    ok = segments_valid(scenario, pts[ia], pts[ib], resolution)
+    a, b = ia[ok], ib[ok]
+    w = np.linalg.norm(pts[a] - pts[b], axis=1)
+    path = shortest_path(Roadmap.from_edges(pts, a, b, w, 0, [1]))
+    return None if path is None else path.cost
 
 
 def tiling_cover_check(scenario: Scenario, path: Path, ball_radius: float) -> bool:

@@ -127,6 +127,17 @@ def test_plan_multirobot_document(capsys, tmp_path):
     assert len(tracks[0]) == len(tracks[1])
 
 
+def test_plan_multirobot_honours_goal_bias(capsys):
+    argv = ("plan", "--scenario", SWAP, "--planner", "drrt-star", "--n", "1500",
+            "--n-roadmap", "150", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv, "--goal-bias", "1.0")
+    assert code == 0
+    assert repr(json.loads(out)["cost"]) == "1.6741808632805153"
+    code, _, err = run_cli(capsys, *argv, "--goal-bias", "0.0")
+    assert code == 1
+    assert "no path" in err
+
+
 def test_benchmark_and_report_end_to_end(capsys, tmp_path):
     results = tmp_path / "rows.csv"
     code, out, _ = run_cli(

@@ -381,6 +381,63 @@ GOLDEN_RRT_STAR = {
 }
 
 
+# recorded while rrt_star still inlined its own copy of the radius formula
+GOLDEN_RRT_STAR_RULES = {
+    "fixed": {
+        "seed": 23,
+        "best_cost": "0.8270339686572061",
+        "checkpoints": [(800, 0.8431697574306173), (1600, 0.8270339686572061)],
+        "stats": [
+            {"n": 800, "cost": 0.8431697574306173, "nodes": 776, "edges": 775,
+             "collision_checks": 1619, "work": 4818},
+            {"n": 1600, "cost": 0.8270339686572061, "nodes": 1539, "edges": 1538,
+             "collision_checks": 3515, "work": 10097},
+        ],
+        "counters": {"samples": 1600, "collision_checks": 3515, "nn_queries": 3138,
+                     "rewires": 1844},
+        "waypoints": [[0.1, 0.5],
+                      [0.19084407297274364, 0.4671299324443482],
+                      [0.3203499746734869, 0.419124655518048],
+                      [0.43880896190523366, 0.38331414652141715],
+                      [0.5595185902114028, 0.39400136990642076],
+                      [0.6492976035534858, 0.39928033384896866],
+                      [0.7769245409182661, 0.4330926000130759],
+                      [0.8910629741388347, 0.485054544210912]],
+    },
+    "prm_star": {
+        "seed": 24,
+        "best_cost": "0.8417809579520102",
+        "checkpoints": [(800, 0.8417809579520102), (1600, 0.8417809579520102)],
+        "stats": [
+            {"n": 800, "cost": 0.8417809579520102, "nodes": 763, "edges": 762,
+             "collision_checks": 1520, "work": 4601},
+            {"n": 1600, "cost": 0.8417809579520102, "nodes": 1522, "edges": 1521,
+             "collision_checks": 2844, "work": 8798},
+        ],
+        "counters": {"samples": 1600, "collision_checks": 2844, "nn_queries": 3121,
+                     "rewires": 1233},
+        "waypoints": [[0.1, 0.5],
+                      [0.20969872387252042, 0.5192992432279605],
+                      [0.29051133859448863, 0.5508071643637045],
+                      [0.41657456287378114, 0.6101234164406054],
+                      [0.586739446563484, 0.6027522096816521],
+                      [0.6683855214347165, 0.6001114351237204],
+                      [0.8191996719117074, 0.5353313088801834],
+                      [0.9, 0.5]],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_RRT_STAR_RULES))
+def test_rrt_star_rule_golden(box_square, kind):
+    # the fixed radius 0.15 * safety stays under eta_max = 0.2, so both rules set r
+    golden = GOLDEN_RRT_STAR_RULES[kind]
+    extra = {"fixed_radius": 0.15} if kind == "fixed" else {}
+    res = rrt_star(box_square, UniformStream(2, golden["seed"]), 1600, eta=0.1,
+                   rule=default_rule(kind, box_square, **extra), checkpoints=(800, 1600))
+    assert_golden(res, golden)
+
+
 def test_rrt_golden(box_square):
     res = rrt(box_square, UniformStream(2, 21), 3000, eta=0.1, checkpoints=(1500, 3000))
     assert_golden(res, GOLDEN_RRT)

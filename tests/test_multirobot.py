@@ -20,10 +20,12 @@ from aoplan import (
     composite_edge_valid,
     drrt_star,
     points_valid,
+    run_planner,
     scenario_from_dict,
     segments_valid,
     shortest_path,
 )
+from aoplan import multirobot
 from aoplan.geometry import _composite_free, _composite_rows
 from aoplan.multirobot import _expand_candidate, _TensorTree
 
@@ -607,3 +609,36 @@ def test_drrt_star_deterministic(swap_scenario):
         assert res.checkpoints == GOLDEN_SWAP_CHECKPOINTS
         assert res.counters == GOLDEN_SWAP_COUNTERS
         assert [track.tolist() for track in res.path.per_robot] == list(GOLDEN_SWAP_PATH)
+
+
+def test_drrt_star_settles_each_vertex_in_one_pass(swap_scenario, monkeypatch):
+    # one neighbourhood pass per expansion and one per sweep step
+    calls = {"discovered": 0, "expansions": 0}
+    discovered = _TensorTree.discovered_neighbors
+
+    def counted_discovered(self, key):
+        calls["discovered"] += 1
+        return discovered(self, key)
+
+    def counted_expand(tree, q_rand):
+        out = _expand_candidate(tree, q_rand)
+        calls["expansions"] += out is not None
+        return out
+
+    monkeypatch.setattr(_TensorTree, "discovered_neighbors", counted_discovered)
+    monkeypatch.setattr(multirobot, "_expand_candidate", counted_expand)
+    res = drrt_star(swap_scenario, None, UniformStream(2, 3), 150, 1500)
+    assert repr(res.best_cost) == "1.7066157516423783"
+    assert calls["discovered"] == 1500 + calls["expansions"]
+    assert calls["discovered"] == 2770
+
+
+@pytest.mark.parametrize("bias", [0.0, 1.0])
+def test_run_planner_passes_goal_bias_to_drrt_star(swap_scenario, bias):
+    got = run_planner(swap_scenario, "drrt-star", UniformStream(2, 3), 600,
+                      {"n_roadmap": 100, "goal_bias": bias})
+    want = drrt_star(swap_scenario, None, UniformStream(2, 3), 100, 600, goal_bias=bias)
+    default = drrt_star(swap_scenario, None, UniformStream(2, 3), 100, 600)
+    assert got.best_cost == want.best_cost
+    assert got.counters == want.counters
+    assert got.counters != default.counters

@@ -15,7 +15,7 @@ from aoplan import (
     tiling_cover_check,
 )
 
-from conftest import OPT_BOX, OPT_EMPTY
+from conftest import OPT_BOX, OPT_EMPTY, load_fixture_scenario
 
 
 def test_empty_square_straight_line(empty_square):
@@ -51,6 +51,16 @@ def test_oracle_disconnected_returns_none():
         "start": [0.1, 0.5], "goal": {"center": [0.9, 0.5], "radius": 0.02},
     })
     assert optimal_cost_2d_boxes(sc) is None
+
+
+@pytest.mark.parametrize("name,want", [
+    ("box_square", "0.8324562671276714"),
+    ("empty_square", "1.1313708498984762"),
+    ("kino_square", "1.1313708498984762"),
+])
+def test_oracle_bundled_scenes_exact(name, want):
+    # recorded from the oracle's own Dijkstra, before it used shortest_path
+    assert repr(optimal_cost_2d_boxes(load_fixture_scenario(f"{name}.json"))) == want
 
 
 def test_oracle_rejects_non_2d():
