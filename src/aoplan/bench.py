@@ -14,6 +14,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from typing import Optional
 
@@ -88,7 +89,12 @@ def _shrink_param(value):
 
 def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 checkpoints=None):
-    """Dispatch one planner execution; params use the CLI flag vocabulary."""
+    """Dispatch one planner execution; params use the CLI flag vocabulary.
+
+    `n`, `eta`, `goal_bias`, `resolution` and `max_attempts` are taken for
+    every planner; any other key the chosen planner does not read is a
+    UsageError, raised before the planner runs.
+    """
     p = dict(params)
     p.pop("n", None)
     resolution = p.pop("resolution", None)
@@ -101,58 +107,66 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
     if planner in ("prm-star", "k-prm-star"):
         kind = "k_prm_star" if planner == "k-prm-star" else p.pop("radius_rule", "prm_star")
         rule = default_rule(kind, scenario, **_rule_kwargs(p))
-        return prm_star(scenario, stream, n, rule, resolution=resolution,
-                        checkpoints=checkpoints, max_attempts=max_attempts)
-    if planner == "rrt":
-        return rrt(scenario, stream, n, eta, resolution=resolution,
-                   checkpoints=checkpoints, max_attempts=max_attempts, **bias)
-    if planner == "rrt-star":
+        run = partial(prm_star, scenario, stream, n, rule, resolution=resolution,
+                      checkpoints=checkpoints, max_attempts=max_attempts)
+    elif planner == "rrt":
+        run = partial(rrt, scenario, stream, n, eta, resolution=resolution,
+                      checkpoints=checkpoints, max_attempts=max_attempts, **bias)
+    elif planner == "rrt-star":
         kind = p.pop("radius_rule", "rrt_star_revised")
         eta_max = p.pop("eta_max", None)
         rule = default_rule(kind, scenario, **_rule_kwargs(p))
-        return rrt_star(scenario, stream, n, eta, rule,
-                        eta_max=None if eta_max is None else float(eta_max),
-                        resolution=resolution, checkpoints=checkpoints,
-                        max_attempts=max_attempts,
-                        audit_every=p.pop("audit_every", None), **bias)
-    if planner in ("sst", "ao-rrt", "ao-meta"):
-        system = SYSTEMS[p.pop("system", "integrator2d")]()
+        run = partial(rrt_star, scenario, stream, n, eta, rule,
+                      eta_max=None if eta_max is None else float(eta_max),
+                      resolution=resolution, checkpoints=checkpoints,
+                      max_attempts=max_attempts,
+                      audit_every=p.pop("audit_every", None), **bias)
+    elif planner in ("sst", "ao-rrt", "ao-meta"):
+        system_name = p.pop("system", "integrator2d")
+        if system_name not in SYSTEMS:
+            raise UsageError(f"unknown system {system_name!r}")
+        system = SYSTEMS[system_name]()
         if planner == "sst":
-            return sst_plan(
-                scenario, system, stream, n,
+            run = partial(
+                sst_plan, scenario, system, stream, n,
                 delta_bn=_opt_float(p.pop("delta_bn", None)),
                 delta_s=_opt_float(p.pop("delta_s", None)),
                 shrink=_shrink_param(p.pop("shrink", None)),
                 resolution=resolution, checkpoints=checkpoints,
                 audit_every=p.pop("audit_every", None),
             )
-        if planner == "ao-rrt":
-            return ao_rrt_plan(
-                scenario, system, stream, n,
+        elif planner == "ao-rrt":
+            run = partial(
+                ao_rrt_plan, scenario, system, stream, n,
                 cost_weight=float(p.pop("cost_weight", 1.0)),
                 initial_bound=_opt_float(p.pop("initial_bound", None)),
                 resolution=resolution, checkpoints=checkpoints,
                 audit_every=p.pop("audit_every", None),
             )
-        rounds = int(p.pop("rounds", 5))
-        budget = int(p.pop("budget", 0)) or max(1, n // rounds)
-        beta = float(p.pop("beta", 0.1))
+        else:
+            rounds = int(p.pop("rounds", 5))
+            budget = int(p.pop("budget", 0)) or max(1, n // rounds)
+            beta = float(p.pop("beta", 0.1))
 
-        def bounded(bound, iters):
-            return cost_bounded_rrt(scenario, system, stream, bound, iters,
-                                    resolution=resolution)
+            def bounded(bound, iters):
+                return cost_bounded_rrt(scenario, system, stream, bound, iters,
+                                        resolution=resolution)
 
-        return ao_meta(bounded, beta, rounds, budget)
-    if planner == "drrt-star":
+            run = partial(ao_meta, bounded, beta, rounds, budget)
+    elif planner == "drrt-star":
         n_roadmap = int(p.pop("n_roadmap", 500))
         rule = None
         if "radius_rule" in p:
             rule = default_rule(p.pop("radius_rule"), scenario, **_rule_kwargs(p))
-        return drrt_star(scenario, None, stream, n_roadmap, n, rule,
-                         resolution=resolution, checkpoints=checkpoints,
-                         max_attempts=max_attempts,
-                         audit_every=p.pop("audit_every", None), **bias)
-    raise UsageError(f"unknown planner {planner!r}")
+        run = partial(drrt_star, scenario, None, stream, n_roadmap, n, rule,
+                      resolution=resolution, checkpoints=checkpoints,
+                      max_attempts=max_attempts,
+                      audit_every=p.pop("audit_every", None), **bias)
+    else:
+        raise UsageError(f"unknown planner {planner!r}")
+    if p:
+        raise UsageError(f"planner {planner!r} does not take: {', '.join(sorted(p))}")
+    return run()
 
 
 def _opt_float(v):

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AuditError, UsageError
 from .geometry import Scenario
 from .geometric import PlanResult, SearchTree, _Run
+from .nn import row_distances
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,6 @@ class DynamicalSystem:
         return self.distance_fn(np.atleast_2d(states), np.asarray(state, dtype=float))
 
 
-def _euclidean(states, state):
-    diff = states - state
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def single_integrator_2d(step: float = 0.02,
                          duration_bounds: tuple = (0.05, 0.3)) -> DynamicalSystem:
     """Velocity-controlled point with speed capped at 1.
@@ -105,7 +101,7 @@ def single_integrator_2d(step: float = 0.02,
         propagate_fn=propagate,
         position_fn=positions,
         sample_state_fn=sample,
-        distance_fn=_euclidean,
+        distance_fn=row_distances,
         control_filter=in_disc,
     )
 
@@ -136,8 +132,7 @@ def kinematic_car(step: float = 0.02,
         return np.array([xy[0], xy[1], psi])
 
     def distance(states, state):
-        diff = states[:, :2] - state[:2]
-        pos = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        pos = row_distances(states[:, :2], state[:2])
         dpsi = np.abs(states[:, 2] - state[2]) % (2.0 * math.pi)
         dpsi = np.minimum(dpsi, 2.0 * math.pi - dpsi)
         return pos + heading_weight * dpsi

@@ -1,14 +1,20 @@
 """Exact nearest-neighbor search under the Euclidean metric.
 
+Every distance here comes from one kernel, `row_distances(points, q)`: it
+squares the differences one column at a time and sums them left to right,
+`(p0 - q0)**2 + (p1 - q1)**2 + ...`, then takes the square root.  That is
+the order of `geometry._rowdot`, so it does not depend on how `points` is
+laid out in memory, and in d <= 2 it is bit-equal to `sqrt(einsum)`.
+
 `NeighborIndex` is an incremental index backed by a contiguous
-grow-on-demand numpy buffer and vectorized scans, so query results are the
-linear-scan answer by construction.  Ties are broken by lower id.  Single
-writer; planners own their index exclusively.
+grow-on-demand numpy buffer and scanned with the kernel, so query results
+are the linear-scan answer by construction.  Ties are broken by lower id.
+Single writer; planners own their index exclusively.
 
 `radius_pairs` and `knn_lists` answer the same queries for every point of a
 fixed set at once, by one sweep over a uniform grid.  They compute each
-candidate distance with the index's expression, so their answers equal the
-index's, ties and duplicate points included.
+candidate distance with the kernel's summation order, so their answers equal
+the index's, ties and duplicate points included.
 """
 
 from __future__ import annotations
@@ -19,6 +25,22 @@ import math
 import numpy as np
 
 from .errors import UsageError
+
+
+def _root_sum_squares(diffs):
+    """sqrt of the sum of squares of fresh column-difference arrays, left to right."""
+    diffs = iter(diffs)
+    acc = next(diffs)
+    acc *= acc
+    for diff in diffs:
+        diff *= diff
+        acc += diff
+    return np.sqrt(acc, out=acc)
+
+
+def row_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of an (n, d) array to the point q."""
+    return _root_sum_squares(points[:, c] - q[c] for c in range(points.shape[1]))
 
 
 class NeighborIndex:
@@ -49,8 +71,7 @@ class NeighborIndex:
         self._known.add(id)
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
-        diff = self._points[: self._size] - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return row_distances(self._points[: self._size], q)
 
     def k_nearest(self, q, k: int):
         """The min(k, size) closest points as (id, distance), ascending."""
@@ -96,8 +117,8 @@ _PAIRS = 1 << 18  # candidate pairs expanded at once, bounding memory
 
 
 def _pair_distances(points, i, j):
-    diff = points[j] - points[i]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Distance between rows i[m] and j[m] for each m, as `row_distances` computes it."""
+    return _root_sum_squares(points[j, c] - points[i, c] for c in range(points.shape[1]))
 
 
 class _Grid:

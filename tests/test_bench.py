@@ -4,16 +4,18 @@ import pytest
 from aoplan import (
     ResultRow,
     RunSpec,
+    UniformStream,
     UsageError,
     convergence_report,
     derive_seed,
     rows_from_csv,
     rows_to_csv,
     run_benchmark,
+    run_planner,
     summary_to_csv,
 )
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, load_fixture_scenario
 
 EMPTY = str(SCENARIO_DIR / "empty_square.json")
 KINO = str(SCENARIO_DIR / "kino_square.json")
@@ -197,3 +199,31 @@ def test_summary_csv_round_trips_basic_fields():
     lines = text.strip().splitlines()
     assert lines[0] == "checkpoint_n,trials,success_rate,median_cost,q25_cost,q75_cost,rel_err"
     assert len(lines) == 3
+
+
+class UntouchedStream:
+    """A stream that fails the test if a planner draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the planner ran: stream.{name} was used")
+
+
+def test_run_planner_rejects_parameters_the_planner_does_not_read():
+    scenario = load_fixture_scenario("empty_square.json")
+    params = {"goal_bias": 0.9, "n_roadmp": 5, "eta_max": 0.01}
+    with pytest.raises(UsageError, match="eta_max, n_roadmp"):
+        run_planner(scenario, "prm-star", UntouchedStream(), 300, params)
+    with pytest.raises(UsageError, match="'sst' does not take: radius_rule"):
+        run_planner(scenario, "sst", UntouchedStream(), 300, {"radius_rule": "prm_star"})
+    with pytest.raises(UsageError, match="unknown system 'boat'"):
+        run_planner(scenario, "ao-rrt", UntouchedStream(), 300, {"system": "boat"})
+
+
+def test_run_planner_takes_the_shared_keys_for_every_planner():
+    scenario = load_fixture_scenario("empty_square.json")
+    shared = {"n": 300, "eta": 0.2, "goal_bias": 0.1, "resolution": 0.01, "max_attempts": 500}
+    got = run_planner(scenario, "prm-star", UniformStream(2, 1), 300, shared)
+    want = run_planner(scenario, "prm-star", UniformStream(2, 1), 300,
+                       {"resolution": 0.01, "max_attempts": 500})
+    assert repr(got.best_cost) == repr(want.best_cost)
+    assert got.counters == want.counters

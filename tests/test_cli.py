@@ -168,5 +168,16 @@ def test_benchmark_bad_param_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_benchmark_param_the_planner_does_not_read_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "benchmark", "--scenario", EMPTY, "--planner", "prm-star",
+        "--trials", "1", "--seed", "5", "--checkpoints", "100",
+        "--param", "n_roadmp=100", "--out", str(out))
+    assert code == 2
+    assert "n_roadmp" in err
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["radius", "--rule", "prm_star"]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -454,3 +455,51 @@ def test_ao_meta_golden(kino_square):
     # the third round exhausts its budget, so the loop stops after two
     res = ao_meta(planner, beta=0.1, rounds=4, budget=2000)
     assert_golden(res, GOLDEN_AO_META)
+
+
+# kinematic car goldens, recorded before the distance scans shared one
+# kernel; they cover the car metric's sliced position term.  The path is
+# pinned by a SHA-256 over the float64 bytes of its states, controls and
+# durations.
+GOLDEN_CAR_SST = {
+    "best_cost": "7.06",
+    "checkpoints": [(1500, 7.06), (3000, 7.06)],
+    "stats": [
+        {"n": 1500, "cost": 7.06, "nodes": 1201, "edges": 1200,
+         "collision_checks": 1500, "work": 4500},
+        {"n": 3000, "cost": 7.06, "nodes": 2384, "edges": 2383,
+         "collision_checks": 3000, "work": 9000},
+    ],
+    "counters": {"samples": 3000, "collision_checks": 3000, "nn_queries": 3000, "rewires": 0},
+    "path_sha256": "b010043b35897c2b7e7c03bcfda3aacdb87d18f2c3ebcf95745cc7b92e72d1a9",
+}
+
+GOLDEN_CAR_AO_RRT = {
+    "best_cost": "1.8200000000000003",
+    "checkpoints": [(1500, 1.8800000000000001), (3000, 1.8200000000000003)],
+    "stats": [
+        {"n": 1500, "cost": 1.8800000000000001, "nodes": 593, "edges": 592,
+         "collision_checks": 1201, "work": 4201},
+        {"n": 3000, "cost": 1.8200000000000003, "nodes": 1247, "edges": 1246,
+         "collision_checks": 2060, "work": 8060},
+    ],
+    "counters": {"samples": 3000, "collision_checks": 2060, "nn_queries": 3000, "rewires": 0},
+    "bounds": [2.6800000000000006, 1.8800000000000001, 1.8200000000000003],
+    "path_sha256": "7421d43684e4e1dc8ca9b925fee296a70beecd2f31aa96ad21710b8b9d08ddf9",
+}
+
+
+def path_sha256(traj):
+    h = hashlib.sha256()
+    for part in (traj.states, traj.controls, traj.durations):
+        h.update(np.array(part, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("plan, golden", [(sst_plan, GOLDEN_CAR_SST),
+                                          (ao_rrt_plan, GOLDEN_CAR_AO_RRT)])
+def test_car_golden(kino_square, plan, golden):
+    res = plan(kino_square, kinematic_car(), UniformStream(2, 21), 3000,
+               checkpoints=(1500, 3000), audit_every=500)
+    assert_golden(res, golden)
+    assert path_sha256(res.path) == golden["path_sha256"]

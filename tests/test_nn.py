@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aoplan import NeighborIndex, UsageError, knn_lists, radius_pairs
+from aoplan.nn import _pair_distances, row_distances
 
 
 def linear_scan(points, q, k=None, radius=None):
@@ -131,6 +132,57 @@ def test_radius_monotone_and_knn_permutation(pts, q, r1, r2):
     assert dists == sorted(dists)
 
 
+# --- the distance kernel -------------------------------------------------------
+
+
+def left_to_right(points, q):
+    """Reference: per row, squares of the column differences summed left to right."""
+    out = []
+    for p in points.tolist():
+        acc = 0.0
+        for a, b in zip(p, q.tolist()):
+            acc += (a - b) * (a - b)
+        out.append(math.sqrt(acc))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_distances_sum_columns_left_to_right_in_any_layout(d):
+    rng = np.random.default_rng(d)
+    wide = rng.uniform(-3.0, 3.0, (400, d + 2))
+    q = rng.uniform(-3.0, 3.0, d)
+    layouts = {
+        "C": np.ascontiguousarray(wide[:, :d]),
+        "F": np.asfortranarray(wide[:, :d]),
+        "column slice": wide[:, :d],
+    }
+    for name, points in layouts.items():
+        assert row_distances(points, q).tobytes() == left_to_right(points, q).tobytes(), name
+    if d <= 2:
+        diff = layouts["C"] - q
+        want = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        for name, points in layouts.items():
+            assert row_distances(points, q).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pair_distances_equal_row_distances(d):
+    rng = np.random.default_rng(10 + d)
+    points = rng.random((60, d))
+    i = rng.integers(0, 60, 500)
+    j = rng.integers(0, 60, 500)
+    got = _pair_distances(points, i, j)
+    for m in range(500):
+        assert got[m] == row_distances(points[[j[m]]], points[i[m]])[0]
+
+
+def test_row_distances_leave_their_inputs_alone():
+    points = np.array([[0.0, 0.0], [3.0, 4.0]])
+    q = np.array([0.0, 0.0])
+    assert row_distances(points, q).tolist() == [0.0, 5.0]
+    assert points.tolist() == [[0.0, 0.0], [3.0, 4.0]] and q.tolist() == [0.0, 0.0]
+
+
 # --- batch sweeps against the index ------------------------------------------
 
 
@@ -185,8 +237,7 @@ def sweep_cases(draw):
     if draw(st.booleans()) and points.shape[0] > 1:
         # the radius is exactly one pair's distance
         i, j = rng.choice(points.shape[0], 2, replace=False)
-        diff = points[[j]] - points[[i]]
-        exact = float(np.sqrt(np.einsum("ij,ij->i", diff, diff))[0])
+        exact = float(row_distances(points[[j]], points[i])[0])
         r = exact if exact > 0.0 else r
     k = draw(st.integers(1, points.shape[0] + 2))  # k + 1 >= nv is included
     return points, r, k

@@ -9,9 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
-from aoplan import UniformStream
+from aoplan import UniformStream, ao_rrt_plan, run_planner, single_integrator_2d
 from aoplan import multirobot
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -36,14 +34,36 @@ def test_every_traced_callable_resolves():
             assert callable(vars(cls).get(meth)), f"{mod_name}.{cls_name}.{meth}"
 
 
-def test_traced_composite_checks_equal_collision_checks(swap_scenario):
+def traced(run):
+    """(result of run(), tracer summary) with the tracer installed around the call."""
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        res = multirobot.drrt_star(swap_scenario, None, UniformStream(2, 5), 80, 300)
+        res = run()
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    spans = tracer.arrays()["name"]
-    calls = int(np.count_nonzero(spans == tracer.names.index("composite_edge_valid")))
-    assert calls == res.counters["collision_checks"] > 0
+    return res, tracer.summary()
+
+
+def test_traced_selection_scans_equal_nn_queries(kino_square):
+    # each ao-rrt iteration selects through DynamicalSystem.distances; a scan
+    # that called the distance kernel directly would hide from the tracer
+    res, summary = traced(lambda: ao_rrt_plan(
+        kino_square, single_integrator_2d(), UniformStream(2, 7), 400))
+    assert summary["DynamicalSystem.distances"]["calls"] == res.counters["nn_queries"] == 400
+
+
+def test_traced_index_queries_equal_nn_queries(empty_square):
+    res, summary = traced(lambda: run_planner(
+        empty_square, "rrt-star", UniformStream(2, 7), 300, {}))
+    queries = ("NeighborIndex.k_nearest", "NeighborIndex.nearest_id",
+               "NeighborIndex.within_radius")
+    calls = sum(summary[q]["top_calls"] for q in queries if q in summary)
+    assert calls == res.counters["nn_queries"] > 300
+
+
+def test_traced_composite_checks_equal_collision_checks(swap_scenario):
+    res, summary = traced(lambda: multirobot.drrt_star(
+        swap_scenario, None, UniformStream(2, 5), 80, 300))
+    assert summary["composite_edge_valid"]["calls"] == res.counters["collision_checks"] > 0
