@@ -208,11 +208,13 @@ class SearchTree:
     edges are propagated controls).  Stored costs always equal the
     parent-chain sum: reparenting recomputes the whole moved subtree.
     `alive` counts the nodes still attached to the root; it equals `size`
-    unless deactivate_and_prune dropped some.
+    unless deactivate_and_prune dropped some.  Configurations are stored
+    column-major, one column per node, so a scan over one coordinate of
+    every node reads contiguous memory.
     """
 
     def __init__(self, root_config: np.ndarray, capacity: int = 256, control_dim: int = 0):
-        self._configs = np.empty((capacity, root_config.shape[0]))
+        self._configs = np.empty((root_config.shape[0], capacity))
         self.controls = np.zeros((capacity, control_dim))
         self.parent = np.full(capacity, -1, dtype=np.int64)
         self.edge_len = np.zeros(capacity)
@@ -225,7 +227,8 @@ class SearchTree:
         SearchTree.add(self, root_config, -1, 0.0)
 
     def _grow(self) -> None:
-        for name in ("_configs", "controls", "parent", "edge_len", "cost", "active"):
+        self._configs = np.concatenate([self._configs, np.zeros_like(self._configs)], axis=1)
+        for name in ("controls", "parent", "edge_len", "cost", "active"):
             col = getattr(self, name)
             setattr(self, name, np.concatenate([col, np.zeros_like(col)]))
 
@@ -233,7 +236,7 @@ class SearchTree:
         if self.size == self.parent.shape[0]:
             self._grow()
         nid = self.size
-        self._configs[nid] = config
+        self._configs[:, nid] = config
         if control is not None:
             self.controls[nid] = control
         self.parent[nid] = parent
@@ -248,11 +251,12 @@ class SearchTree:
         return nid
 
     def config(self, nid: int) -> np.ndarray:
-        return self._configs[nid]
+        return self._configs[:, nid]
 
     @property
     def configs(self) -> np.ndarray:
-        return self._configs[: self.size]
+        """(size, d) view of the stored configurations; fancy indexing copies C-ordered rows."""
+        return self._configs[:, : self.size].T
 
     def reparent(self, nid: int, new_parent: int, new_edge_len: float) -> None:
         # a parent inside nid's own subtree would close a cycle

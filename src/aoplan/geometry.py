@@ -843,5 +843,7 @@ class CollisionChecker:
         return segments_valid(self.scenario, a, b, self.resolution, self.margin)
 
     def states_valid(self, pts: np.ndarray) -> bool:
+        """points_valid(pts).all() for an (m, d) array, one point at a time; one check."""
         self.checks += 1
-        return bool(points_valid(self.scenario, pts, self.margin).all())
+        bounds = self.scenario._bounds
+        return all(_point_free(bounds, p, self.margin) for p in pts.tolist())

@@ -58,13 +58,14 @@ class DynamicalSystem:
                                  np.asarray(control, dtype=float), steps)
 
     def positions(self, states: np.ndarray) -> np.ndarray:
-        return self.position_fn(np.atleast_2d(states))
+        return self.position_fn(states if states.ndim == 2 else states[None, :])
 
     def sample_state(self, stream, scenario: Scenario) -> np.ndarray:
         return self.sample_state_fn(stream, scenario)
 
     def distances(self, states: np.ndarray, state: np.ndarray) -> np.ndarray:
-        return self.distance_fn(np.atleast_2d(states), np.asarray(state, dtype=float))
+        """A fresh array of distances from each row of states (or one state) to state."""
+        return self.distance_fn(states if states.ndim == 2 else states[None, :], state)
 
 
 def single_integrator_2d(step: float = 0.02,
@@ -316,8 +317,7 @@ def sst_plan(
                 accept = True
             else:
                 rep = int(wit_rep[w])
-                rep_cost = float(tree.cost[rep])
-                accept = new_cost < rep_cost
+                accept = new_cost < float(tree.cost[rep])
                 if accept:
                     tree.deactivate_and_prune(rep)
             if accept:
@@ -383,12 +383,9 @@ def ao_rrt_plan(
         raise UsageError("cost_weight must be >= 0")
     # generous duration-cost scale for unit-speed systems
     scale = 2.0 * scenario.diagonal
-    if initial_bound is None:
-        bound = scale
-    else:
-        if not initial_bound > 0.0:
-            raise UsageError("initial_bound must be > 0 (or infinite)")
-        bound = float(initial_bound)
+    if initial_bound is not None and not initial_bound > 0.0:
+        raise UsageError("initial_bound must be > 0 (or infinite)")
+    bound = scale if initial_bound is None else float(initial_bound)
     sample_scale = bound if math.isfinite(bound) else scale
     w_eff = cost_weight / sample_scale
     run, tree, done = _kino_start(scenario, system, iterations, checkpoints, resolution)
@@ -398,6 +395,8 @@ def ao_rrt_plan(
     best = None
     best_traj = None
     bounds_hist = []
+    # 0.0 on live rows, inf on rows a bound drop pruned: x + 0.0 == x exactly
+    pruned = np.zeros(iterations + 1)
 
     for it in range(1, iterations + 1):
         run.samples += 1
@@ -405,8 +404,9 @@ def ao_rrt_plan(
         c_rand = stream.next_uniform01() * (bound if math.isfinite(bound) else sample_scale)
         run.nn_queries += 1
         dists = system.distances(tree.configs, x_rand)
-        dists = dists + w_eff * np.abs(tree.cost[: tree.size] - c_rand)
-        dists = np.where(tree.active[: tree.size], dists, np.inf)
+        gap = tree.cost[: tree.size] - c_rand
+        dists += np.multiply(np.abs(gap, out=gap), w_eff, out=gap)
+        dists += pruned[: tree.size]
         sel = int(np.argmin(dists))
 
         child = _extend(run, system, stream, tree, sel, lambda cost: cost <= bound)
@@ -414,13 +414,13 @@ def ao_rrt_plan(
             new_state, control, duration, new_cost = child
             nid = tree.add(new_state, sel, duration, control)
             if scenario.goal.contains(system.positions(new_state)[0]) and new_cost < bound:
-                bound = new_cost
-                best = new_cost
+                bound = best = new_cost
                 best_traj = _trajectory(tree, nid)
                 bounds_hist.append(bound)
                 # drop everything the new bound rules out
-                live = tree.active[: tree.size]
-                live[live & (tree.cost[: tree.size] > bound)] = False
+                drop = tree.cost[: tree.size] > bound
+                tree.active[: tree.size][drop] = False
+                pruned[: tree.size][drop] = np.inf
 
         if audit_every and it % audit_every == 0:
             live_costs = tree.cost[: tree.size][tree.active[: tree.size]]

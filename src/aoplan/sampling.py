@@ -39,22 +39,32 @@ def radical_inverse(base: int, index: int) -> float:
 
 
 class UniformStream:
-    """I.i.d. uniform sampling over a box; equal seeds emit equal sequences."""
+    """I.i.d. uniform sampling over a box; equal seeds emit equal sequences.
+
+    Draws are served from blocks of the generator's doubles, which are the
+    ones that scalar draws would emit, so a point coordinate is
+    lo + u * (hi - lo) with the same u and the same two roundings.
+    """
 
     kind = "uniform"
+    _BLOCK = 1024
 
     def __init__(self, dimension: int, seed: int):
         self.dimension = int(dimension)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
+        self._draws = []  # the next draws, last one first
 
     def next_point(self, domain: Box) -> np.ndarray:
         if domain.dimension != self.dimension:
             raise UsageError("stream dimension does not match the domain")
-        return domain.lo + self._rng.random(self.dimension) * domain.widths
+        return np.array([lo + self.next_uniform01() * (hi - lo)
+                         for lo, hi in zip(domain.lo.tolist(), domain.hi.tolist())])
 
     def next_uniform01(self) -> float:
-        return float(self._rng.random())
+        if not self._draws:
+            self._draws = self._rng.random(self._BLOCK).tolist()[::-1]
+        return self._draws.pop()
 
 
 class HaltonStream:

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -227,3 +230,40 @@ def test_run_planner_takes_the_shared_keys_for_every_planner():
                        {"resolution": 0.01, "max_attempts": 500})
     assert repr(got.best_cost) == repr(want.best_cost)
     assert got.counters == want.counters
+
+
+def load_output_digest():
+    path = SCENARIO_DIR.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("planner,scenario,params", [
+    ("sst", "kino_square.json", {"system": "integrator2d"}),
+    ("rrt-star", "empty_square.json", {"eta": 0.15}),
+])
+def test_output_digest_covers_outputs_not_timings(planner, scenario, params):
+    digest = load_output_digest().digest
+    sc = load_fixture_scenario(scenario)
+
+    def run(seed):
+        return run_planner(sc, planner, UniformStream(2, seed), 300, params,
+                           checkpoints=(150, 300))
+
+    a, b = run(5), run(5)
+    assert a.path is not None
+    key = digest([a])
+    assert len(key) == 64 and int(key, 16) >= 0
+    assert digest([b]) == key
+    assert digest([dataclasses.replace(a, elapsed_ms=a.elapsed_ms + 1.0)]) == key
+    assert digest([a, a]) != key
+    assert digest([dataclasses.replace(a, checkpoints=a.checkpoints[:1])]) != key
+    assert digest([dataclasses.replace(a, best_cost=None, path=None)]) != key
+    # one ulp in one stored state moves the digest
+    field = "states" if planner == "sst" else "waypoints"
+    rows = list(getattr(a.path, field))
+    rows[-1] = np.nextafter(rows[-1], np.inf)
+    moved = dataclasses.replace(a, path=dataclasses.replace(a.path, **{field: tuple(rows)}))
+    assert digest([moved]) != key

@@ -670,3 +670,19 @@ def test_search_tree_trace_order():
     assert np.allclose(wp[0], (0, 0))
     assert np.allclose(wp[-1], (1, 1))
     assert len(wp) == 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_tree_configs_rows_survive_growth(d):
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((40, d))
+    tree = SearchTree(pts[0], capacity=4)
+    for i in range(1, 40):
+        tree.add(pts[i], i - 1, 1.0)
+        # configs reads back every inserted row, across each _grow
+        assert np.array_equal(tree.configs, pts[: i + 1])
+        assert np.array_equal(tree.config(i), pts[i])
+    ids = tree.trace(39)[::3]
+    rows = tree.configs[ids]
+    assert rows.flags["C_CONTIGUOUS"]
+    assert rows.tobytes() == pts[ids].tobytes()

@@ -461,3 +461,31 @@ def test_rowdot_sums_columns_left_to_right(d):
         # a two-term sum has one order, so d = 2 matches the numpy reductions
         assert np.array_equal(_rowdot(x, x), np.einsum("ij,ij->i", x, x))
         assert np.array_equal(np.sqrt(_rowdot(x, x)), np.linalg.norm(x, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=one_item_scene(), wall=st.booleans())
+def test_states_valid_matches_points_valid(scene, wall):
+    """One check per call, and the verdict of points_valid(...).all()."""
+    sc, margin, _, seed = scene
+    rng = np.random.default_rng(seed)
+    a, b = snapped_segments(sc, margin, rng, 40)
+    checker = CollisionChecker(sc, margin=margin)
+    trajectories = [a[i:i + 2 + i % 7] for i in range(0, 40, 3)]
+    # random walks from a free point; a wall point is one that clamps to the domain
+    for start in b[points_valid(sc, b, margin)][:6]:
+        steps = start + np.cumsum(rng.uniform(-0.02, 0.02, (12, sc.dimension)), axis=0)
+        trajectories.append(np.clip(steps, 0.0, 1.0) if wall else steps)
+    for ob in sc.obstacles:
+        # on the inflated box face or ball surface, and one ulp outside it
+        if isinstance(ob, BoxObstacle):
+            p, face = (ob.lo + ob.hi) / 2, ob.hi[0] + margin
+        else:
+            p, face = ob.center.copy(), ob.center[0] + (ob.radius + margin)
+        for x in (face, np.nextafter(face, np.inf)):
+            p[0] = x
+            trajectories.append(np.array([b[0], p.copy()]))
+    for pts in trajectories:
+        before = checker.checks
+        assert checker.states_valid(pts) == bool(points_valid(sc, pts, margin).all())
+        assert checker.checks == before + 1

@@ -383,8 +383,12 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed)
 
 
 def distances_by_full_scan(tree, q_flat):
-    """The einsum over every tree vertex's configuration that the tables replaced."""
-    diff = (tree.configs - q_flat).reshape(-1, tree.r, tree.d)
+    """The einsum over every tree vertex's configuration that the tables replaced.
+
+    It runs on a C-ordered copy of the configurations: einsum's summation
+    order follows the memory layout, and the tables reproduce the row-major one.
+    """
+    diff = (np.ascontiguousarray(tree.configs) - q_flat).reshape(-1, tree.r, tree.d)
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
 
 

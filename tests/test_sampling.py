@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoplan import (
     Box,
@@ -187,3 +188,27 @@ def test_dispersion_report_csv_line():
     assert int(parts[0]) == 1
     assert float(parts[1]) == report.dispersion
     assert float(parts[2]) == 0.25
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), d=st.integers(1, 4),
+       pattern=st.lists(st.booleans(), min_size=1, max_size=30),
+       lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3))
+def test_uniform_stream_blocks_equal_scalar_draws(seed, d, pattern, lo, width):
+    """Points and scalars interleaved across three block edges equal one-at-a-time draws."""
+    box = Box(lo=np.full(d, lo) + np.arange(d), hi=np.full(d, lo + width) + 2 * np.arange(d))
+    stream = UniformStream(d, seed)
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while drawn <= 3 * UniformStream._BLOCK:
+        for point in pattern:
+            if point:
+                want = [lo_j + rng.random() * (hi_j - lo_j)
+                        for lo_j, hi_j in zip(box.lo.tolist(), box.hi.tolist())]
+                got = stream.next_point(box)
+                assert got.dtype == np.float64 and got.shape == (d,)
+                assert got.tolist() == want
+                drawn += d
+            else:
+                assert stream.next_uniform01() == rng.random()
+                drawn += 1
