@@ -483,8 +483,8 @@ def ao_meta(
     stat, or path None.  Round 1 runs unbounded; afterwards the bound is
     (1 - beta) times the best cost.  Stops after `rounds` rounds or the
     first round that times out.  Counters are summed over every round
-    run; each checkpoint stat takes nodes and edges from its round's last
-    stat, and cumulative collision_checks and work.
+    run.  Round k is recorded at n = the samples of rounds 1..k, with nodes
+    and edges from its last stat and cumulative collision_checks and work.
     """
     t0 = time.perf_counter()
     if not 0.0 < beta < 1.0:
@@ -512,10 +512,10 @@ def ao_meta(
         best = out.best_cost
         best_sol = out.path
         bounds_hist.append(best)
-        records.append((k * budget, best))
+        records.append((totals["samples"], best))
         last = out.checkpoint_stats[-1]
         stats.append({
-            "n": k * budget, "cost": best, "nodes": last["nodes"], "edges": last["edges"],
+            "n": totals["samples"], "cost": best, "nodes": last["nodes"], "edges": last["edges"],
             "collision_checks": totals["collision_checks"], "work": sum(totals.values()),
         })
 

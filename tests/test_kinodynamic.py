@@ -394,11 +394,11 @@ GOLDEN_AO_RRT = {
 # is the earlier golden
 GOLDEN_AO_META = {
     "best_cost": "2.02",
-    "checkpoints": [(2000, 2.46), (4000, 2.02)],
+    "checkpoints": [(49, 2.46), (273, 2.02)],
     "stats": [
-        {"n": 2000, "cost": 2.46, "nodes": 46, "edges": 45,
+        {"n": 49, "cost": 2.46, "nodes": 46, "edges": 45,
          "collision_checks": 49, "work": 147},
-        {"n": 4000, "cost": 2.02, "nodes": 186, "edges": 185,
+        {"n": 273, "cost": 2.02, "nodes": 186, "edges": 185,
          "collision_checks": 260, "work": 806},
     ],
     "counters": {"samples": 2273, "collision_checks": 1257, "nn_queries": 2273, "rewires": 0,
