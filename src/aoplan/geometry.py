@@ -61,6 +61,11 @@ class Box:
         pts = np.atleast_2d(pts)
         return np.all((pts >= self.lo + margin) & (pts <= self.hi - margin), axis=1)
 
+    @cached_property
+    def _bounds(self) -> tuple:
+        """(lo, hi) as float tuples, built on first use and kept on the instance."""
+        return tuple(self.lo.tolist()), tuple(self.hi.tolist())
+
 
 @dataclass(frozen=True)
 class BoxObstacle:
@@ -135,7 +140,7 @@ class Scenario:
             else (False, tuple(ob.center.tolist()), float(ob.radius))
             for ob in self.obstacles
         )
-        return tuple(self.domain.lo.tolist()), tuple(self.domain.hi.tolist()), obstacles
+        return (*self.domain._bounds, obstacles)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,10 @@ class UniformStream:
         self._draws = []  # the next draws, last one first
 
     def next_point(self, domain: Box) -> np.ndarray:
-        if domain.dimension != self.dimension:
+        lo, hi = domain._bounds
+        if len(lo) != self.dimension:
             raise UsageError("stream dimension does not match the domain")
-        return np.array([lo + self.next_uniform01() * (hi - lo)
-                         for lo, hi in zip(domain.lo.tolist(), domain.hi.tolist())])
+        return np.array([l + self.next_uniform01() * (h - l) for l, h in zip(lo, hi)])
 
     def next_uniform01(self) -> float:
         if not self._draws:

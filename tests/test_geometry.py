@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aoplan import (
     BallObstacle,
@@ -463,8 +463,16 @@ def test_rowdot_sums_columns_left_to_right(d):
         assert np.array_equal(np.sqrt(_rowdot(x, x)), np.linalg.norm(x, axis=1))
 
 
+BOX_AND_BALL = Scenario(
+    dimension=2, domain=Box(lo=np.zeros(2), hi=np.ones(2)), start=None, goal=None,
+    obstacles=(BoxObstacle(lo=np.array([0.4, 0.4]), hi=np.array([0.6, 0.6])),
+               BallObstacle(center=np.array([0.2, 0.8]), radius=0.1)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(scene=one_item_scene(), wall=st.booleans())
+@example(scene=(BOX_AND_BALL, 0.0, 0.01, 7), wall=True)
+@example(scene=(BOX_AND_BALL, 0.02, 0.01, 8), wall=True)
 def test_states_valid_matches_points_valid(scene, wall):
     """One check per call, and the verdict of points_valid(...).all()."""
     sc, margin, _, seed = scene
