@@ -27,30 +27,25 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 
 
-def update(h, result) -> None:
-    """Feed one PlanResult into the hash h."""
-    for value in (result.best_cost, result.checkpoints, result.checkpoint_stats,
-                  sorted(result.counters.items()), result.bounds):
-        h.update(repr(value).encode())
-    path = result.path
-    if path is None:
-        h.update(b"no path")
-        return
-    for f in dataclasses.fields(path):
-        value = getattr(path, f.name)
-        if isinstance(value, tuple):
-            rows = np.ascontiguousarray(np.asarray(value, dtype=float))
-            h.update(f"{f.name}{rows.shape}".encode())
-            h.update(rows.tobytes())
-        else:
-            h.update(f"{f.name}={value!r}".encode())
-
-
 def digest(results) -> str:
     """Hex SHA-256 over a sequence of PlanResults, in order."""
     h = hashlib.sha256()
     for result in results:
-        update(h, result)
+        for value in (result.best_cost, result.checkpoints, result.checkpoint_stats,
+                      sorted(result.counters.items()), result.bounds):
+            h.update(repr(value).encode())
+        path = result.path
+        if path is None:
+            h.update(b"no path")
+            continue
+        for f in dataclasses.fields(path):
+            value = getattr(path, f.name)
+            if isinstance(value, tuple):
+                rows = np.ascontiguousarray(np.asarray(value, dtype=float))
+                h.update(f"{f.name}{rows.shape}".encode())
+                h.update(rows.tobytes())
+            else:
+                h.update(f"{f.name}={value!r}".encode())
     return h.hexdigest()
 
 
