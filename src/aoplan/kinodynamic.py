@@ -162,12 +162,12 @@ def monte_carlo_propagate(system: DynamicalSystem, from_state, stream):
     Returns (trajectory, control, effective_duration); the duration is the
     uniform draw from the system's duration bounds quantized to whole
     integration steps.  Validity of the trajectory is the caller's job.
+    Each control coordinate is lo + u * (hi - lo) in Python floats, the
+    same IEEE operations as the array form.
     """
-    from_state = np.asarray(from_state, dtype=float)
-    span = system.control_hi - system.control_lo
+    bounds = list(zip(system.control_lo.tolist(), system.control_hi.tolist()))
     for _ in range(10_000):
-        u = np.array([stream.next_uniform01() for _ in range(system.control_dim)])
-        control = system.control_lo + u * span
+        control = np.array([lo + stream.next_uniform01() * (hi - lo) for lo, hi in bounds])
         if system.control_filter is None or system.control_filter(control):
             break
     else:

@@ -109,12 +109,12 @@ class _TensorTree(SearchTree):
         self.d = scenario.dimension
         self.keys = []
         self.key_to_id = {}
-        # row nid holds tree vertex nid's key, for the distance tables
-        self.key_rows = np.empty((256, self.r), dtype=np.int64)
-        # per robot: roadmap vertex -> ids of the tree vertices standing on it
-        self.buckets = [[[] for _ in range(len(rm.vertices))] for rm in roadmaps]
+        # column nid holds tree vertex nid's key, for the distance tables
+        self.key_rows = np.empty((self.r, 256), dtype=np.int64)
         # per robot: vertex -> closed_neighborhood(i, vertex)
         self.closed = [{} for _ in range(self.r)]
+        # per robot: inf over its roadmap vertices between neighbour passes
+        self.step_tables = [np.full(len(rm.vertices), np.inf) for rm in roadmaps]
         # unordered key pair -> composite edge verdict
         self.edge_verdict = {}
         super().__init__(self.config_of(root_key))
@@ -135,11 +135,9 @@ class _TensorTree(SearchTree):
     def _index(self, key, nid: int) -> None:
         self.keys.append(key)
         self.key_to_id[key] = nid
-        if nid == len(self.key_rows):
-            self.key_rows = np.concatenate([self.key_rows, np.zeros_like(self.key_rows)])
-        self.key_rows[nid] = key
-        for bucket, v in zip(self.buckets, key):
-            bucket[v].append(nid)
+        if nid == self.key_rows.shape[1]:
+            self.key_rows = np.concatenate([self.key_rows, np.zeros_like(self.key_rows)], axis=1)
+        self.key_rows[:, nid] = key
 
     def distances(self, q_flat: np.ndarray) -> np.ndarray:
         """Summed per-robot Euclidean distance from q_flat to every tree vertex.
@@ -149,8 +147,8 @@ class _TensorTree(SearchTree):
         every tree vertex's configuration.
         """
         dist = 0.0
-        keys = self.key_rows[: self.size]
-        for rm, col, q in zip(self.roadmaps, keys.T, q_flat.reshape(self.r, self.d)):
+        cols = self.key_rows[:, : self.size]
+        for rm, col, q in zip(self.roadmaps, cols, q_flat.reshape(self.r, self.d)):
             diff = rm.vertices - q
             dist = dist + np.sqrt(np.einsum("ij,ij->i", diff, diff))[col]
         return dist
@@ -160,47 +158,40 @@ class _TensorTree(SearchTree):
         return int(np.argmin(self.distances(q_flat)))
 
     def closed_neighborhood(self, i: int, v: int):
-        """Sorted ids of robot i's vertex v and its roadmap neighbours, with coordinates."""
+        """Sorted ids of robot i's vertex v and its roadmap neighbours, coordinates, step lengths.
+
+        A step is sqrt(vecdot) of the difference from v, bit-equal to the 1-D
+        np.linalg.norm; the roadmap's axis-wise-norm weights may differ by an ulp.
+        """
         got = self.closed[i].get(v)
         if got is None:
             rm = self.roadmaps[i]
             nbrs = rm.neighbors(v)[0]
             ids = np.insert(nbrs, np.searchsorted(nbrs, v), v)
-            got = self.closed[i][v] = (ids.tolist(), rm.vertices[ids])
+            coords = rm.vertices[ids]
+            diff = coords - rm.vertices[v]
+            got = self.closed[i][v] = (ids, coords, np.sqrt(np.vecdot(diff, diff)))
         return got
 
-    def edge_costs(self, key, ids) -> dict:
-        """Tree id -> composite edge cost to key, summed over robots in order.
+    def discovered_neighbors(self, key):
+        """Other tree vertices adjacent to key in the product graph: ascending ids, weights.
 
-        Each robot's step length is sqrt(vecdot) of its coordinate
-        difference, bit-equal to the 1-D np.linalg.norm; a robot that stays
-        put adds 0.  The roadmap's edge weights come from an axis-wise
-        norm that can differ in the last ulp, so they are not used.
+        Each robot's steps from key's vertex are gathered through its inf
+        table and summed robot after robot: a weight is finite exactly when
+        every robot stands on key's vertex or a roadmap neighbour of it.
         """
-        ids = list(ids)
-        diff = (self.configs[ids] - self.config_of(key)).reshape(len(ids), self.r, self.d)
-        steps = np.sqrt(np.vecdot(diff, diff))
-        total = steps[:, 0]
-        for i in range(1, self.r):
-            total = total + steps[:, i]
-        return dict(zip(ids, total.tolist()))
-
-    def discovered_neighbors(self, key) -> set:
-        """Discovered tree vertices adjacent to key in the product graph.
-
-        A tree vertex is adjacent when, for every robot, it stands on key's
-        vertex or on one of its roadmap neighbours: the intersection over
-        robots of the buckets around key's vertices.
-        """
-        out = None
-        for i, bucket in enumerate(self.buckets):
-            ids = self.closed_neighborhood(i, key[i])[0]
-            near = set().union(*map(bucket.__getitem__, ids))
-            out = near if out is None else out & near
-            if not out:
-                return out
-        out.discard(self.key_to_id.get(key))
-        return out
+        total = 0.0
+        cols = self.key_rows[:, : self.size]
+        for i, (table, col) in enumerate(zip(self.step_tables, cols)):
+            ids, _, steps = self.closed_neighborhood(i, key[i])
+            table[ids] = steps
+            total = total + table[col]
+            table[ids] = np.inf
+        own = self.key_to_id.get(key)
+        if own is not None:
+            total[own] = np.inf
+        ids = np.flatnonzero(total < np.inf)
+        return ids, total[ids]
 
     def valid_edge_to(self, checker_counter, ka, kb) -> bool:
         """composite_edge_valid with a per-run memo of both verdicts on unordered key pairs."""
@@ -213,10 +204,12 @@ class _TensorTree(SearchTree):
         return ok
 
     def audit_costs(self, tol: float = 1e-9) -> None:
-        """Recheck every stored edge length against edge_costs, then the core audit."""
+        """Recheck every stored edge length as a sum of per-robot norms, then the core audit."""
         for nid in range(1, self.size):
-            p = int(self.parent[nid])
-            if abs(self.edge_len[nid] - self.edge_costs(self.keys[nid], [p])[p]) > tol:
+            pairs = zip(self.roadmaps, self.keys[nid], self.keys[self.parent[nid]])
+            want = sum(float(np.linalg.norm(rm.vertices[a] - rm.vertices[b]))
+                       for rm, a, b in pairs)
+            if abs(self.edge_len[nid] - want) > tol:
                 raise AuditError(f"tensor tree edge length mismatch at {nid}")
         super().audit_costs(tol)
 
@@ -234,12 +227,12 @@ def _expand_candidate(tree: _TensorTree, q_rand: np.ndarray):
     key = tree.keys[near]
     new_key = []
     for i, target in enumerate(q_rand.reshape(tree.r, tree.d)):
-        ids, coords = tree.closed_neighborhood(i, key[i])
+        ids, coords, _ = tree.closed_neighborhood(i, key[i])
         diff = coords - target
         # vecdot matches the 1-D np.linalg.norm bit for bit; argmin over
         # the sorted ids keeps the (distance, id) tie-break
         dist = np.sqrt(np.vecdot(diff, diff))
-        new_key.append(ids[int(np.argmin(dist))])
+        new_key.append(int(ids[np.argmin(dist)]))
     new_key = tuple(new_key)
     if new_key == key:
         return None
@@ -312,29 +305,32 @@ def drrt_star(
         neighbour with a valid edge; a tree vertex moves only to a strictly
         cheaper one, so the root (cost 0) never moves.
         """
-        cands = tree.discovered_neighbors(key)
-        weights = tree.edge_costs(key, cands)
-        order = sorted(cands, key=lambda c: (tree.cost[c] + weights[c], c))
-        for c in order:
-            if nid is not None and tree.cost[c] + weights[c] >= tree.cost[nid]:
+        ids, weights = tree.discovered_neighbors(key)
+        # stable over ascending ids: the (cost + weight, id) order
+        order = np.argsort(tree.cost[ids] + weights, kind="stable")
+        ids, weights = ids[order], weights[order]
+        for c, w in zip(ids.tolist(), weights.tolist()):
+            if nid is not None and tree.cost[c] + w >= tree.cost[nid]:
                 break
             if tree.valid_edge_to(run.checker, tree.keys[c], key):
                 if nid is None:
-                    nid = tree.add(key, c, weights[c])
+                    nid = tree.add(key, c, w)
                     if is_goal(key):
                         goal_ids.append(nid)
                 else:
-                    tree.reparent(nid, c, weights[c])
+                    tree.reparent(nid, c, w)
                     run.rewires += 1
                 break
         if nid is None:
             return
-        for c in order:
-            if c == tree.parent[nid]:
-                continue
-            nw = tree.cost[nid] + weights[c]
-            if nw < tree.cost[c] and tree.valid_edge_to(run.checker, key, tree.keys[c]):
-                tree.reparent(c, nid, weights[c])
+        # a candidate failing now fails for the rest of the loop: rewiring
+        # only lowers costs, and no ancestor of nid (its parent included)
+        # ever passes, so cost[nid] stays put
+        keep = tree.cost[nid] + weights < tree.cost[ids]
+        for c, w in zip(ids[keep].tolist(), weights[keep].tolist()):
+            if (tree.cost[nid] + w < tree.cost[c]
+                    and tree.valid_edge_to(run.checker, key, tree.keys[c])):
+                tree.reparent(c, nid, w)
                 run.rewires += 1
 
     for it in range(1, iterations + 1):

@@ -243,6 +243,7 @@ def load_output_digest():
 @pytest.mark.parametrize("planner,scenario,params", [
     ("sst", "kino_square.json", {"system": "integrator2d"}),
     ("rrt-star", "empty_square.json", {"eta": 0.15}),
+    ("drrt-star", "two_robot_swap.json", {"n_roadmap": 60}),
 ])
 def test_output_digest_covers_outputs_not_timings(planner, scenario, params):
     digest = load_output_digest().digest
@@ -261,9 +262,10 @@ def test_output_digest_covers_outputs_not_timings(planner, scenario, params):
     assert digest([a, a]) != key
     assert digest([dataclasses.replace(a, checkpoints=a.checkpoints[:1])]) != key
     assert digest([dataclasses.replace(a, best_cost=None, path=None)]) != key
-    # one ulp in one stored state moves the digest
-    field = "states" if planner == "sst" else "waypoints"
+    # one ulp in one stored coordinate moves the digest
+    field = {"sst": "states", "drrt-star": "per_robot"}.get(planner, "waypoints")
     rows = list(getattr(a.path, field))
-    rows[-1] = np.nextafter(rows[-1], np.inf)
+    rows[-1] = np.array(rows[-1])
+    rows[-1][-1] = np.nextafter(rows[-1][-1], np.inf)
     moved = dataclasses.replace(a, path=dataclasses.replace(a.path, **{field: tuple(rows)}))
     assert digest([moved]) != key

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoplan import (
+    AuditError,
     BallObstacle,
     Box,
     BoxObstacle,
@@ -351,10 +353,10 @@ def random_tree(roadmaps, seed, size):
 
 
 @settings(max_examples=60, deadline=None)
-@given(r=st.integers(1, 3), n=st.integers(2, 7), size=st.integers(0, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed):
-    roadmaps = random_roadmaps(seed, r, n)
+@given(r=st.integers(1, 3), d=st.sampled_from([2, 3]), n=st.integers(2, 7),
+       size=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_discovered_neighbors_and_edge_costs_match_brute_force(r, d, n, size, seed):
+    roadmaps = random_roadmaps(seed, r, n, d)
     tree, rng = random_tree(roadmaps, seed + 1, size)
     queries = list(tree.keys) + [
         tuple(int(v) for v in rng.integers(0, n, r)) for _ in range(10)
@@ -368,18 +370,38 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, n, size, seed)
                 for a, b, rm in zip(key, other, roadmaps)
             )
         }
-        got = tree.discovered_neighbors(key)
-        assert set(got) == want
-        weights = tree.edge_costs(key, sorted(want))
-        for tid in sorted(want):
+        ids, weights = tree.discovered_neighbors(key)
+        assert set(ids.tolist()) == want
+        assert np.all(np.diff(ids) > 0)
+        assert tree.key_to_id.get(key) not in ids.tolist()
+        for tid, got in zip(ids.tolist(), weights.tolist()):
             total = 0.0
             for a, b, rm in zip(tree.keys[tid], key, roadmaps):
                 total += float(np.linalg.norm(rm.vertices[a] - rm.vertices[b]))
-            assert weights[tid] == total
-        if key in tree.key_to_id:
+            assert got == total
+        for i, v in enumerate(key):
             # staying put costs 0 in every robot
-            own = tree.key_to_id[key]
-            assert tree.edge_costs(key, [own]) == {own: 0.0}
+            nbr_ids, _, steps = tree.closed_neighborhood(i, v)
+            assert steps[nbr_ids == v].tolist() == [0.0]
+
+
+def test_tensor_tree_audit_catches_a_corrupted_edge_length():
+    tree = hand_tree(empty_multi(SWAP_ROBOTS), [square_roadmap(), square_roadmap()])
+    a = tree.add((1, 0), 0, 0.6)
+    tree.add((3, 2), a, 0.6 + 0.6)
+    tree.audit_costs()
+    # shift cost with the edge so only the per-robot norm recheck can notice
+    tree.edge_len[2] += 1e-6
+    tree.cost[2] += 1e-6
+    with pytest.raises(AuditError, match="edge length mismatch at 2"):
+        tree.audit_costs()
+
+
+def test_drrt_star_passes_the_audit_every_iteration(swap_scenario):
+    res = drrt_star(swap_scenario, None, UniformStream(2, 4), 60, 300, audit_every=1)
+    plain = drrt_star(swap_scenario, None, UniformStream(2, 4), 60, 300)
+    assert repr(res.best_cost) == repr(plain.best_cost)
+    assert res.counters == plain.counters
 
 
 def distances_by_full_scan(tree, q_flat):
@@ -479,8 +501,9 @@ def test_expansion_near_ties(p1, p2, want):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_vecdot_matches_one_d_norm_bit_for_bit(d):
-    # _expand_candidate and _TensorTree.edge_costs rely on this to
-    # reproduce per-pair norms, on flat and on (pairs, robots, d) stacks
+    # _expand_candidate and _TensorTree's step tables rely on this to
+    # reproduce per-pair norms; the (pairs, robots, d) stacks that edge
+    # weights were once computed from give the same doubles
     rng = np.random.default_rng(d)
     rows = rng.random((20000, d)) - rng.random((20000, d))
     slow = np.array([np.linalg.norm(row) for row in rows])
@@ -613,6 +636,35 @@ def test_drrt_star_deterministic(swap_scenario):
         assert res.checkpoints == GOLDEN_SWAP_CHECKPOINTS
         assert res.counters == GOLDEN_SWAP_COUNTERS
         assert [track.tolist() for track in res.path.per_robot] == list(GOLDEN_SWAP_PATH)
+
+
+# recorded before settle's neighbour pass moved to per-robot step tables; a
+# rewire loop that skipped a candidate able to pass would move these first
+GOLDEN_SWAP_SEEDS = {
+    1: ("1.724182089046869",
+        [(500, 1.8086678771013658), (1000, 1.7654982677259181), (1500, 1.724182089046869)],
+        {"samples": 1500, "collision_checks": 3506, "nn_queries": 1500, "rewires": 1547},
+        "755f9cd1c4b7016adfaab597c26da8842f231a3e270d5b3c00ccffc3627b7a31"),
+    5: ("1.7647165261409952",
+        [(500, 1.8591665907387191), (1000, 1.84525292789353), (1500, 1.7647165261409952)],
+        {"samples": 1500, "collision_checks": 2911, "nn_queries": 1500, "rewires": 1325},
+        "87533fba38fc640b41ee09af557c577d244b33119a2e10b65196e8198ca42aa2"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SWAP_SEEDS))
+def test_drrt_star_swap_golden_at_more_seeds(swap_scenario, seed):
+    best, checkpoints, counters, path_sha = GOLDEN_SWAP_SEEDS[seed]
+    res = drrt_star(swap_scenario, None, UniformStream(2, seed), 150, 1500,
+                    checkpoints=(500, 1000, 1500))
+    assert repr(res.best_cost) == best
+    assert res.checkpoints == checkpoints
+    assert res.counters == counters
+    h = hashlib.sha256()
+    for track in res.path.per_robot:
+        assert track.shape == (7, 2)
+        h.update(track.tobytes())
+    assert h.hexdigest() == path_sha
 
 
 def test_drrt_star_settles_each_vertex_in_one_pass(swap_scenario, monkeypatch):
