@@ -275,6 +275,7 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_from_csv(text: str) -> list:
+    """ResultRows of a results CSV; a malformed row raises UsageError naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != CSV_FIELDS:
@@ -283,13 +284,17 @@ def rows_from_csv(text: str) -> list:
     for rec in reader:
         if not rec:
             continue
-        cost = None if rec[4] == "" else float(rec[4])
-        rows.append(ResultRow(
-            scenario=rec[0], planner=rec[1], seed=int(rec[2]),
-            checkpoint_n=int(rec[3]), best_cost=cost,
-            success=rec[5] == "true", time_ms=int(rec[6]), nodes=int(rec[7]),
-            edges=int(rec[8]), collision_checks=int(rec[9]),
-        ))
+        try:
+            if len(rec) != len(CSV_FIELDS):
+                raise ValueError(f"{len(rec)} fields, expected {len(CSV_FIELDS)}")
+            scenario, planner, seed, n, cost, success, *counts = rec
+            if success not in ("true", "false"):
+                raise ValueError(f"success must be true or false, got {success!r}")
+            rows.append(ResultRow(scenario, planner, int(seed), int(n),
+                                  None if cost == "" else float(cost), success == "true",
+                                  *map(int, counts)))
+        except ValueError as exc:
+            raise UsageError(f"results CSV line {reader.line_num}: {exc}") from None
     return rows
 
 

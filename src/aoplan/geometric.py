@@ -386,6 +386,12 @@ class _Run:
             "work": self.work(),
         })
 
+    def tree_checkpoint(self, it, tree, goal_nodes) -> None:
+        """At a due iteration, record the cheapest goal node's cost and the tree's size."""
+        if it in self.due:
+            top = _cheapest(tree, goal_nodes)
+            self.record(it, None if top is None else top[0], tree.size, tree.size - 1)
+
     def trivial(self, path) -> PlanResult:
         """Result for a start already inside the goal: the one-state path at cost 0."""
         for c in self.checkpoints:
@@ -592,6 +598,48 @@ def prm_star(
 # tree planners
 
 
+def _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution):
+    """Check the shared tree parameters: (run, rooted tree, its index, trivial result or None)."""
+    if n < 2:
+        raise UsageError("n must be >= 2")
+    if eta <= 0.0:
+        raise UsageError("eta must be > 0")
+    if not 0.0 <= goal_bias <= 1.0:
+        raise UsageError("goal_bias must lie in [0, 1]")
+    run = _Run(scenario, n, checkpoints, resolution)
+    start, done = _kinematic_start(run, scenario.start, scenario.goal)
+    tree = SearchTree(start)
+    index = NeighborIndex(scenario.dimension)
+    index.insert(0, start)
+    return run, tree, index, done
+
+
+def _extension(run, tree, index, stream, eta, goal_bias, max_attempts):
+    """Draw a target (the goal centre at rate goal_bias) and steer from its nearest node.
+
+    Counts the sample and the nearest query.  Returns (nearest id, new
+    configuration), or None when the step stays put.
+    """
+    run.samples += 1
+    if stream.next_uniform01() < goal_bias:
+        target = run.scenario.goal.center
+    else:
+        target = sample_free(stream, run.scenario, max_attempts)
+    run.nn_queries += 1
+    near = index.nearest_id(target)
+    v = steer(tree.config(near), target, eta)
+    return None if np.array_equal(v, tree.config(near)) else (near, v)
+
+
+def _tree_result(run, tree, goal_nodes) -> PlanResult:
+    """Result for the root-to-node path of the cheapest goal node, or no path."""
+    top = _cheapest(tree, goal_nodes)
+    if top is None:
+        return run.result(None, None)
+    best, node = top
+    return run.result(Path(waypoints=tuple(tree.configs[tree.trace(node)]), cost=best), best)
+
+
 def rrt(
     scenario: Scenario,
     stream,
@@ -604,46 +652,21 @@ def rrt(
     max_attempts: int = 10_000,
 ) -> PlanResult:
     """Classic tree planner: the first goal-ball connection fixes the path."""
-    if n < 2:
-        raise UsageError("n must be >= 2")
-    if eta <= 0.0:
-        raise UsageError("eta must be > 0")
-    if not 0.0 <= goal_bias <= 1.0:
-        raise UsageError("goal_bias must lie in [0, 1]")
-    run = _Run(scenario, n, checkpoints, resolution)
-    goal = scenario.goal
-    start, done = _kinematic_start(run, scenario.start, goal)
+    run, tree, index, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
     if done:
         return done
-
-    tree = SearchTree(start)
-    index = NeighborIndex(scenario.dimension)
-    index.insert(0, start)
-    solution = -1
+    goal_nodes = []
     for it in range(1, n + 1):
-        run.samples += 1
-        if stream.next_uniform01() < goal_bias:
-            target = goal.center
-        else:
-            target = sample_free(stream, scenario, max_attempts)
-        run.nn_queries += 1
-        near = index.nearest_id(target)
-        v = steer(tree.config(near), target, eta)
-        if not np.array_equal(v, tree.config(near)):
+        step = _extension(run, tree, index, stream, eta, goal_bias, max_attempts)
+        if step is not None:
+            near, v = step
             if run.checker.edge_valid(tree.config(near), v):
                 vid = tree.add(v, near, float(np.linalg.norm(v - tree.config(near))))
                 index.insert(vid, v)
-                if solution < 0 and goal.contains(v):
-                    solution = vid
-        if it in run.due:
-            cost = float(tree.cost[solution]) if solution >= 0 else None
-            run.record(it, cost, tree.size, tree.size - 1)
-
-    if solution < 0:
-        return run.result(None, None)
-    best = float(tree.cost[solution])
-    path = Path(waypoints=tuple(tree.configs[tree.trace(solution)]), cost=best)
-    return run.result(path, best)
+                if not goal_nodes and scenario.goal.contains(v):
+                    goal_nodes.append(vid)
+        run.tree_checkpoint(it, tree, goal_nodes)
+    return _tree_result(run, tree, goal_nodes)
 
 
 def rrt_star(
@@ -674,42 +697,23 @@ def rrt_star(
     the radius rule runs on a conservative optimal-cost estimate (domain
     diagonal times dimension); after that, on the first solution's cost.
     """
-    if n < 2:
-        raise UsageError("n must be >= 2")
-    if eta <= 0.0:
-        raise UsageError("eta must be > 0")
-    if not 0.0 <= goal_bias <= 1.0:
-        raise UsageError("goal_bias must lie in [0, 1]")
     rule = rule if rule is not None else default_rule("rrt_star_revised", scenario)
     if rule.rule == "k_prm_star":
         raise UsageError("rrt_star needs a radius rule, not the k rule")
     eta_max = 2.0 * eta if eta_max is None else float(eta_max)
     if eta_max <= 0.0:
         raise UsageError("eta_max must be > 0")
-    run = _Run(scenario, n, checkpoints, resolution)
-    goal = scenario.goal
-    start, done = _kinematic_start(run, scenario.start, goal)
+    run, tree, index, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
     if done:
         return done
-
     if rule.rule == "rrt_star_revised" and rule.c_star_estimate is None:
         rule = replace(rule, c_star_estimate=scenario.diagonal * scenario.dimension)
 
-    tree = SearchTree(start)
-    index = NeighborIndex(scenario.dimension)
-    index.insert(0, start)
     goal_nodes = []
-    first_cost = None
     for it in range(1, n + 1):
-        run.samples += 1
-        if stream.next_uniform01() < goal_bias:
-            target = goal.center
-        else:
-            target = sample_free(stream, scenario, max_attempts)
-        run.nn_queries += 1
-        near = index.nearest_id(target)
-        v = steer(tree.config(near), target, eta)
-        if not np.array_equal(v, tree.config(near)):
+        step = _extension(run, tree, index, stream, eta, goal_bias, max_attempts)
+        if step is not None:
+            v = step[1]
             r = min(connection_radius(rule, max(tree.size, 2)), eta_max)
             run.nn_queries += 1
             ids, dists = index.within_radius(v, r)
@@ -729,12 +733,10 @@ def rrt_star(
             if pick >= 0:
                 vid = tree.add(v, int(ids[pick]), float(dists[pick]))
                 index.insert(vid, v)
-                if goal.contains(v):
+                if scenario.goal.contains(v):
+                    if not goal_nodes and rule.rule == "rrt_star_revised":
+                        rule = replace(rule, c_star_estimate=float(tree.cost[vid]))
                     goal_nodes.append(vid)
-                    if first_cost is None:
-                        first_cost = float(tree.cost[vid])
-                        if rule.rule == "rrt_star_revised":
-                            rule = replace(rule, c_star_estimate=first_cost)
                 base = tree.cost[vid]
                 for j in np.nonzero(base + dists < tree.cost[ids])[0].tolist():
                     u = int(ids[j])
@@ -746,12 +748,5 @@ def rrt_star(
                             run.rewires += 1
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
-        if it in run.due:
-            top = _cheapest(tree, goal_nodes)
-            run.record(it, None if top is None else top[0], tree.size, tree.size - 1)
-
-    top = _cheapest(tree, goal_nodes)
-    if top is None:
-        return run.result(None, None)
-    best, node = top
-    return run.result(Path(waypoints=tuple(tree.configs[tree.trace(node)]), cost=best), best)
+        run.tree_checkpoint(it, tree, goal_nodes)
+    return _tree_result(run, tree, goal_nodes)

@@ -587,23 +587,6 @@ def _composite_free(bounds, a, b, radii, rho: float):
     return True
 
 
-def _composite_valid(scenario: Scenario, a, b, radii, rho: float) -> bool:
-    """Composite edge check from per-robot positions a to b.
-
-    The one-item check decides; where rounding leaves it unsure, the batch
-    rows do, so the verdict is always the batch's.
-    """
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
-    a = [p if type(p) is list else list(map(float, p)) for p in a]
-    b = [p if type(p) is list else list(map(float, p)) for p in b]
-    if not a or any(len(p) != scenario.dimension for p in a + b):
-        raise UsageError(f"composite configurations need {scenario.dimension}-D positions")
-    radii = list(map(float, radii))
-    ok = _composite_free(scenario._bounds, a, b, radii, rho)
-    return _composite_rows(scenario, a, b, radii, rho) if ok is None else ok
-
-
 def _floats(q, d: int, what: str) -> list:
     q = np.asarray(q, dtype=float)
     if q.shape != (d,):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AuditError, SaturationError, UsageError
 from .geometric import PlanResult, SearchTree, _Run, _cheapest, prm_star
-from .geometry import Scenario, _composite_valid, points_valid
+from .geometry import Scenario, _composite_free, _composite_rows, points_valid
 
 # a tensor vertex is one roadmap vertex id per robot
 TensorVertex = Tuple[int, ...]
@@ -84,20 +84,28 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
 
     Every sampled composite configuration must keep each robot inside its
     inflated free space and every robot pair at least the sum of their
-    radii apart.
+    radii apart.  The one-item check decides; where rounding leaves it
+    unsure, the batch rows do, so the verdict is always the batch's.
     """
     if a.num_robots != b.num_robots:
         raise UsageError("composite configurations have different robot counts")
     if tuple(a.robot_radii) != tuple(b.robot_radii):
         raise UsageError("composite configurations have different robot radii")
-    return _composite_valid(scenario, a.per_robot, b.per_robot, a.robot_radii, rho)
+    if rho <= 0.0:
+        raise UsageError("resolution rho must be > 0")
+    pa, pb = ([p if type(p) is list else list(map(float, p)) for p in c.per_robot] for c in (a, b))
+    if not pa or any(len(p) != scenario.dimension for p in pa + pb):
+        raise UsageError(f"composite configurations need {scenario.dimension}-D positions")
+    radii = list(map(float, a.robot_radii))
+    ok = _composite_free(scenario._bounds, pa, pb, radii, rho)
+    return _composite_rows(scenario, pa, pb, radii, rho) if ok is None else ok
 
 
 class _TensorTree(SearchTree):
     """Tree over discovered tensor vertices; never enumerates the product graph.
 
-    A node's configuration is its tensor vertex's per-robot positions,
-    concatenated; the tree bookkeeping is SearchTree's.
+    A node holds only its key, with a zero-width configuration; positions
+    come from the roadmaps, and the tree bookkeeping is SearchTree's.
     """
 
     def __init__(self, scenario, roadmaps, radii, rho, root_key):
@@ -117,18 +125,16 @@ class _TensorTree(SearchTree):
         self.step_tables = [np.full(len(rm.vertices), np.inf) for rm in roadmaps]
         # unordered key pair -> composite edge verdict
         self.edge_verdict = {}
-        super().__init__(self.config_of(root_key))
+        # per robot: its roadmap's positions as lists of floats, for composite()
+        self.positions = [rm.vertices.tolist() for rm in roadmaps]
+        super().__init__(np.empty(0))
         self._index(root_key, 0)
 
-    def config_of(self, key) -> np.ndarray:
-        return np.concatenate([rm.vertices[v] for rm, v in zip(self.roadmaps, key)])
-
     def composite(self, key) -> CompositeConfig:
-        per_robot = tuple(rm.vertices[v].tolist() for rm, v in zip(self.roadmaps, key))
-        return CompositeConfig(per_robot, self.radii)
+        return CompositeConfig(tuple(pos[v] for pos, v in zip(self.positions, key)), self.radii)
 
     def add(self, key, parent: int, edge_cost: float) -> int:
-        nid = super().add(self.config_of(key), parent, edge_cost)
+        nid = super().add((), parent, edge_cost)
         self._index(key, nid)
         return nid
 
@@ -144,7 +150,7 @@ class _TensorTree(SearchTree):
 
         One table per robot over its roadmap vertices, gathered through the
         key rows and summed robot after robot: bit-equal to the einsum over
-        every tree vertex's configuration.
+        every tree vertex's per-robot positions.
         """
         dist = 0.0
         cols = self.key_rows[:, : self.size]
@@ -351,17 +357,13 @@ def drrt_star(
         settle(tree.keys[sweep], sweep)
         if audit_every and it % audit_every == 0:
             tree.audit_costs()
-        if it in run.due:
-            top = _cheapest(tree, goal_ids)
-            run.record(it, None if top is None else top[0], tree.size, max(0, tree.size - 1))
+        run.tree_checkpoint(it, tree, goal_ids)
 
     top = _cheapest(tree, goal_ids)
     if top is None:
         return run.result(None, None, roadmaps=roadmaps)
     best, node = top
-    chain = [tree.keys[w] for w in tree.trace(node)]
-    per_robot = tuple(
-        np.array([roadmaps[i].vertices[k[i]] for k in chain])
-        for i in range(len(robots))
-    )
+    # key row i along the path holds robot i's roadmap vertices
+    path_keys = tree.key_rows[:, tree.trace(node)]
+    per_robot = tuple(rm.vertices[col] for rm, col in zip(roadmaps, path_keys))
     return run.result(CompositePath(per_robot=per_robot, cost=best), best, roadmaps=roadmaps)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aoplan import RadiusRule, connection_radius
+from aoplan.bench import CSV_FIELDS
 from aoplan.cli import main
 
 from conftest import SCENARIO_DIR
@@ -158,6 +159,26 @@ def test_benchmark_and_report_end_to_end(capsys, tmp_path):
     assert svg.read_text().startswith("<svg")
     assert "checkpoint_n" in summary.read_text()
     assert "rel_err" in out
+
+
+GOOD_ROW = "empty_square,rrt-star,5,100,1.25,true,40,12,11,9"
+
+
+@pytest.mark.parametrize("bad_row", [
+    "empty_square,rrt-star,5,100",
+    GOOD_ROW + ",7",
+    GOOD_ROW.replace(",5,", ",x,"),
+    GOOD_ROW.replace("1.25", "cheap"),
+    GOOD_ROW.replace("true", "yes"),
+], ids=["few-fields", "many-fields", "bad-seed", "bad-cost", "bad-success"])
+def test_report_malformed_row_is_usage_error(capsys, tmp_path, bad_row):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("\n".join([",".join(CSV_FIELDS), GOOD_ROW, bad_row]) + "\n")
+    code, _, err = run_cli(capsys, "report", "--in", str(rows),
+                           "--out", str(tmp_path / "report.svg"))
+    assert code == 2
+    assert "line 3" in err
+    assert "Traceback" not in err
 
 
 def test_benchmark_bad_param_is_usage_error(capsys, tmp_path):

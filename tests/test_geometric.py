@@ -334,29 +334,82 @@ def test_rrt_star_deterministic(empty_square):
     assert a.counters == b.counters
 
 
-# golden values recorded before the tree planners shared one tree core
+# seed 21 recorded before the tree planners shared one tree core; seeds 2 and 3
+# recorded before rrt and rrt_star shared their set-up, target draw and extension
 GOLDEN_RRT = {
-    "best_cost": "1.0646622257648624",
-    "checkpoints": [(1500, 1.0646622257648624), (3000, 1.0646622257648624)],
-    "stats": [
-        {"n": 1500, "cost": 1.0646622257648624, "nodes": 1421, "edges": 1420,
-         "collision_checks": 1421, "work": 4421},
-        {"n": 3000, "cost": 1.0646622257648624, "nodes": 2865, "edges": 2864,
-         "collision_checks": 2865, "work": 8865},
-    ],
-    "counters": {"samples": 3000, "collision_checks": 2865, "nn_queries": 3000, "rewires": 0},
-    "waypoints": [[0.1, 0.5],
-                  [0.13600961406204884, 0.4067084800472074],
-                  [0.1959414374344178, 0.3266573929386417],
-                  [0.2824827157123483, 0.2765514336720854],
-                  [0.3753839572319461, 0.3135562890848195],
-                  [0.4747423981024017, 0.3022469907957044],
-                  [0.5466937184392959, 0.2327991146454747],
-                  [0.6264523890109045, 0.2931195462474586],
-                  [0.7062110595825131, 0.3534399778494426],
-                  [0.7445080398202994, 0.4458160640658796],
-                  [0.8389389024285477, 0.4787221757635892],
-                  [0.9, 0.5]],
+    21: {
+        "best_cost": "1.0646622257648624",
+        "checkpoints": [(1500, 1.0646622257648624), (3000, 1.0646622257648624)],
+        "stats": [
+            {"n": 1500, "cost": 1.0646622257648624, "nodes": 1421, "edges": 1420,
+             "collision_checks": 1421, "work": 4421},
+            {"n": 3000, "cost": 1.0646622257648624, "nodes": 2865, "edges": 2864,
+             "collision_checks": 2865, "work": 8865},
+        ],
+        "counters": {"samples": 3000, "collision_checks": 2865, "nn_queries": 3000, "rewires": 0},
+        "waypoints": [[0.1, 0.5],
+                      [0.13600961406204884, 0.4067084800472074],
+                      [0.1959414374344178, 0.3266573929386417],
+                      [0.2824827157123483, 0.2765514336720854],
+                      [0.3753839572319461, 0.3135562890848195],
+                      [0.4747423981024017, 0.3022469907957044],
+                      [0.5466937184392959, 0.2327991146454747],
+                      [0.6264523890109045, 0.2931195462474586],
+                      [0.7062110595825131, 0.3534399778494426],
+                      [0.7445080398202994, 0.4458160640658796],
+                      [0.8389389024285477, 0.4787221757635892],
+                      [0.9, 0.5]],
+    },
+    2: {
+        "best_cost": "1.0478977755621586",
+        "checkpoints": [(1500, 1.0478977755621586), (3000, 1.0478977755621586)],
+        "stats": [
+            {"n": 1500, "cost": 1.0478977755621586, "nodes": 1427, "edges": 1426,
+             "collision_checks": 1433, "work": 4433},
+            {"n": 3000, "cost": 1.0478977755621586, "nodes": 2851, "edges": 2850,
+             "collision_checks": 2858, "work": 8858},
+        ],
+        "counters": {"samples": 3000, "collision_checks": 2858, "nn_queries": 3000,
+                     "rewires": 0},
+        "waypoints": [[0.1, 0.5],
+                      [0.15340560395761832, 0.5845449079834026],
+                      [0.24858141470533418, 0.6152298399291471],
+                      [0.33951922325122913, 0.5736327850229382],
+                      [0.4055904176026695, 0.6486967396015121],
+                      [0.505333086141325, 0.641527355193635],
+                      [0.4980560549172479, 0.6925181318299735],
+                      [0.5922359994242292, 0.7261356578047076],
+                      [0.6865778965304029, 0.6929753434152428],
+                      [0.7339914741906908, 0.6049301694790647],
+                      [0.8185213518071334, 0.5515007787830326],
+                      [0.9, 0.5]],
+    },
+    3: {
+        "best_cost": "1.2304316896082432",
+        "checkpoints": [(1500, 1.2304316896082432), (3000, 1.2304316896082432)],
+        "stats": [
+            {"n": 1500, "cost": 1.2304316896082432, "nodes": 1427, "edges": 1426,
+             "collision_checks": 1427, "work": 4427},
+            {"n": 3000, "cost": 1.2304316896082432, "nodes": 2837, "edges": 2836,
+             "collision_checks": 2838, "work": 8838},
+        ],
+        "counters": {"samples": 3000, "collision_checks": 2838, "nn_queries": 3000,
+                     "rewires": 0},
+        "waypoints": [[0.1, 0.5],
+                      [0.09412864224039919, 0.4331269402364738],
+                      [0.13592600420200682, 0.34228102380072883],
+                      [0.23444324024155355, 0.32512426993735966],
+                      [0.3221732562216932, 0.27713005886847714],
+                      [0.3490944979710705, 0.18082197643158307],
+                      [0.4489921452387694, 0.1853452573623258],
+                      [0.5376976524838436, 0.23151161940650358],
+                      [0.63684350977944, 0.24455381941728518],
+                      [0.6696988585408601, 0.33900235597431955],
+                      [0.758291217315823, 0.38538547754551433],
+                      [0.8360430958862907, 0.4482714487852373],
+                      [0.8660716485260163, 0.5436563848410068],
+                      [0.9107502280448823, 0.49881345034301394]],
+    },
 }
 
 
@@ -440,7 +493,13 @@ def test_rrt_star_rule_golden(box_square, kind):
 
 def test_rrt_golden(box_square):
     res = rrt(box_square, UniformStream(2, 21), 3000, eta=0.1, checkpoints=(1500, 3000))
-    assert_golden(res, GOLDEN_RRT)
+    assert_golden(res, GOLDEN_RRT[21])
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_rrt_golden_at_more_seeds(box_square, seed):
+    res = rrt(box_square, UniformStream(2, seed), 3000, eta=0.1, checkpoints=(1500, 3000))
+    assert_golden(res, GOLDEN_RRT[seed])
 
 
 def test_rrt_star_golden(box_square):
@@ -489,6 +548,23 @@ def test_prm_star_golden(key):
     assert res.counters == golden["counters"]
     assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
     assert res.roadmap.num_edges == golden["stats"][-1]["edges"]
+
+
+@pytest.mark.parametrize("planner", [rrt, rrt_star])
+@pytest.mark.parametrize("n,eta,goal_bias", [
+    (1, 0.1, 0.05),  # n below 2
+    (100, 0.0, 0.05),  # eta not positive
+    (100, 0.1, -0.1),  # goal_bias below 0
+    (100, 0.1, 1.1),  # goal_bias above 1
+])
+def test_tree_planners_reject_bad_parameters(empty_square, planner, n, eta, goal_bias):
+    with pytest.raises(UsageError):
+        planner(empty_square, UniformStream(2, 0), n, eta=eta, goal_bias=goal_bias)
+
+
+def test_rrt_star_rejects_nonpositive_eta_max(empty_square):
+    with pytest.raises(UsageError):
+        rrt_star(empty_square, UniformStream(2, 0), 100, eta=0.1, eta_max=0.0)
 
 
 def test_rrt_star_rejects_k_rule(empty_square):

@@ -250,6 +250,16 @@ def test_mismatched_robot_radii_rejected():
                              cc([(0.2, 0.2), (0.8, 0.8)], [0.05, 0.04]), 0.01)
 
 
+@pytest.mark.parametrize("a,b,rho", [
+    ([(0.1, 0.1), (0.9, 0.9)], [(0.2, 0.2), (0.8, 0.8)], 0.0),  # no positive resolution
+    ([(0.1, 0.1, 0.5), (0.9, 0.9, 0.5)], [(0.2, 0.2, 0.5), (0.8, 0.8, 0.5)], 0.01),  # 3-D in 2-D
+])
+def test_bad_composite_inputs_rejected(a, b, rho):
+    sc = empty_multi(SWAP_ROBOTS)
+    with pytest.raises(UsageError):
+        composite_edge_valid(sc, cc(a, [0.05, 0.05]), cc(b, [0.05, 0.05]), rho)
+
+
 # --- expansion ---------------------------------------------------------------
 
 
@@ -407,10 +417,13 @@ def test_drrt_star_passes_the_audit_every_iteration(swap_scenario):
 def distances_by_full_scan(tree, q_flat):
     """The einsum over every tree vertex's configuration that the tables replaced.
 
-    It runs on a C-ordered copy of the configurations: einsum's summation
-    order follows the memory layout, and the tables reproduce the row-major one.
+    The configurations are rebuilt row by row from the keys and the roadmaps:
+    einsum's summation order follows the memory layout, and the tables
+    reproduce the row-major one.
     """
-    diff = (np.ascontiguousarray(tree.configs) - q_flat).reshape(-1, tree.r, tree.d)
+    configs = np.array([np.concatenate([rm.vertices[v] for rm, v in zip(tree.roadmaps, key)])
+                        for key in tree.keys])
+    diff = (configs - q_flat).reshape(-1, tree.r, tree.d)
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
 
 
@@ -430,6 +443,8 @@ def test_tensor_distances_match_full_scan(r, d, n, size, grid, seed):
     # random samples, and quarter-grid samples equidistant from many vertices
     queries = [rng.random(r * d) for _ in range(5)]
     queries += [rng.integers(0, 5, r * d) / 4 for _ in range(5)]
+    # the tree stores keys only
+    assert tree.configs.shape == (tree.size, 0)
     for q in queries:
         want = distances_by_full_scan(tree, q)
         assert np.array_equal(tree.distances(q), want)
