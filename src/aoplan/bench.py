@@ -15,7 +15,6 @@ import io
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
 from typing import Optional
 
 import numpy as np
@@ -243,6 +242,9 @@ def run_benchmark(spec: RunSpec, workers: int = 1) -> list:
         for trial in range(spec.trials):
             out.extend(_rows_for_trial(spec, scenario, trial))
         return out
+    # imported here, its only use, so that `import aoplan` stays light
+    from multiprocessing import get_context
+
     tasks = [(spec, trial) for trial in range(spec.trials)]
     ctx = get_context("fork")
     with ctx.Pool(processes=min(workers, spec.trials)) as pool:

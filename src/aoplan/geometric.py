@@ -442,12 +442,27 @@ def _cheapest(tree, nodes):
 # shortest path
 
 
+def _goal_distances(points: np.ndarray, goal: GoalRegion) -> np.ndarray:
+    """Each row's distance to the goal center, as sqrt(vecdot) of the difference.
+
+    vecdot is bit-equal to the 1-D `np.linalg.norm` that
+    `GoalRegion.contains` takes, so `_goal_distances(pts, goal) <=
+    goal.radius` is `contains` row by row.  The axis-wise norm is not: it
+    rounds differently a few ulps from the goal sphere.
+    """
+    diff = points - goal.center
+    return np.sqrt(np.vecdot(diff, diff))
+
+
 def shortest_path(roadmap: Roadmap) -> Optional[Path]:
     """Minimum-cost start-to-goal-set path by A*.
 
     The heuristic is the Euclidean distance to the goal-ball center minus
     the goal radius, clamped at zero (admissible and consistent); without
-    a goal region it degrades to Dijkstra.
+    a goal region it degrades to Dijkstra.  It is read from one table per
+    call, `heur`, built over all vertices by the sqrt(vecdot) kernel of
+    `_goal_distances`, whose values equal the per-vertex 1-D norm bit for
+    bit; the goal set of `prm_star` comes from the same kernel.
     """
     goals = set(roadmap.goal_ids)
     if not goals:
@@ -455,19 +470,15 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
     start = roadmap.start_id
 
     if roadmap.goal is not None:
-        center = roadmap.goal.center
-        radius = roadmap.goal.radius
-
-        def heur(vid):
-            return max(0.0, float(np.linalg.norm(roadmap.vertices[vid] - center)) - radius)
+        dists = _goal_distances(roadmap.vertices, roadmap.goal)
+        heur = np.maximum(dists - roadmap.goal.radius, 0.0).tolist()
     else:
-        def heur(vid):
-            return 0.0
+        heur = [0.0] * roadmap.vertices.shape[0]
 
     dist = {start: 0.0}
     parent = {start: -1}
     closed = set()
-    heap = [(heur(start), start)]
+    heap = [(heur[start], start)]
     found = None
     while heap:
         f, v = heappop(heap)
@@ -484,7 +495,7 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
             if nd < dist.get(u, math.inf):
                 dist[u] = nd
                 parent[u] = v
-                heappush(heap, (nd + heur(u), u))
+                heappush(heap, (nd + heur[u], u))
     if found is None:
         return None
     ids = []
@@ -518,9 +529,11 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
     # canonical (min, max) orientation
     a, b = np.minimum(a, b), np.maximum(a, b)
     if use_k:
-        # directed k-lists may repeat a pair from both sides
-        _, uniq = np.unique(a * np.int64(nv) + b, return_index=True)
-        a, b = a[np.sort(uniq)], b[np.sort(uniq)]
+        # directed k-lists may repeat a pair from both sides; the roadmap
+        # does not depend on the order its edges come in
+        key = np.sort(a * np.int64(nv) + b)
+        key = key[np.diff(key, prepend=-1) != 0]
+        a, b = np.divmod(key, nv)
     keep = np.zeros(a.shape[0], dtype=bool)
     chunk = 200_000
     for lo in range(0, a.shape[0], chunk):
@@ -528,7 +541,7 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
     a, b = a[keep], b[keep]
     weights = np.linalg.norm(pts[a] - pts[b], axis=1)
 
-    ball = np.linalg.norm(pts - goal_region.center, axis=1) <= goal_region.radius
+    ball = _goal_distances(pts, goal_region) <= goal_region.radius
     goal_ids = sorted({1, *np.nonzero(ball)[0].tolist()})
     return Roadmap.from_edges(pts, a, b, weights, 0, goal_ids, goal_region)
 

@@ -14,7 +14,10 @@ Single writer; planners own their index exclusively.
 `radius_pairs` and `knn_lists` answer the same queries for every point of a
 fixed set at once, by one sweep over a uniform grid.  They compute each
 candidate distance with the kernel's summation order, so their answers equal
-the index's, ties and duplicate points included.
+the index's, ties and duplicate points included.  `knn_lists` ranks each
+row's candidates by a key `local * m + rank`, where rank is a candidate's
+place in one argsort of the distances, and falls back to a (row, distance,
+id) lexsort only where equal distances come out of id order.
 """
 
 from __future__ import annotations
@@ -206,6 +209,14 @@ def knn_lists(points, k: int):
     ball.  A row is settled once min(k + 1, n) points lie within the
     radius, since then no point outside its cells can rank; the unsettled
     rows search again at twice the radius.
+
+    The m candidates of a part of the sweep are ordered by one argsort of
+    the distinct int64 keys `local * m + rank`: local is the row's place in
+    the part and rank the candidate's place in one float argsort of the
+    distances.  That argsort ranks equal distances in no set order, so if
+    two neighbours of a row at equal distance come out of id order, the
+    part is re-sorted by the three-key lexsort (local, distance, id)
+    instead; this happens on lattices and duplicate points.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -229,8 +240,15 @@ def knn_lists(points, k: int):
             retry.append(part[~settled])
             sel = inside & settled[local] & (j != i)
             local, j, dist = local[sel], j[sel], dist[sel]
-            order = np.lexsort((j, dist, local))
-            local, j = local[order], j[order]
+            m = dist.shape[0]
+            rank = np.empty(m, dtype=np.int64)
+            rank[np.argsort(dist)] = np.arange(m)
+            order = np.argsort(local * m + rank)
+            local, j, dist = local[order], j[order], dist[order]
+            if np.any((local[1:] == local[:-1]) & (dist[1:] == dist[:-1]) & (j[1:] < j[:-1])):
+                # equal distances ranked out of id order (lattices, duplicates)
+                order = np.lexsort((j, dist, local))
+                local, j = local[order], j[order]
             keep = np.arange(local.shape[0]) - np.searchsorted(local, local) < k
             src.append(part[local[keep]])
             dst.append(j[keep])

@@ -1,9 +1,14 @@
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoplan
 from aoplan import (
     ResultRow,
     RunSpec,
@@ -45,6 +50,15 @@ def test_row_count_is_trials_times_checkpoints():
     assert len(rows) == 20
     seeds = {r.seed for r in rows}
     assert len(seeds) == 5
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # run_benchmark imports it when it starts a pool
+    env = dict(os.environ, PYTHONPATH=str(Path(aoplan.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", "import sys, aoplan; "
+                          "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_same_spec_twice_is_byte_identical():

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import json
 import math
@@ -27,6 +28,7 @@ from aoplan import (
     shortest_path,
     single_integrator_2d,
 )
+from aoplan.geometric import _goal_distances
 
 from conftest import (
     DATA_DIR,
@@ -200,6 +202,66 @@ def test_astar_matches_dijkstra_on_random_roadmap(empty_square):
     path = shortest_path(res.roadmap)
     ref = dijkstra_reference(res.roadmap)
     assert path.cost == pytest.approx(ref, abs=1e-9)
+
+
+def per_push_astar(roadmap):
+    """shortest_path's A* with a 1-D np.linalg.norm heuristic per push: (waypoint bytes, repr(cost))."""
+    goal = roadmap.goal
+
+    def heur(v):
+        if goal is None:
+            return 0.0
+        return max(0.0, float(np.linalg.norm(roadmap.vertices[v] - goal.center)) - goal.radius)
+
+    start = roadmap.start_id
+    goals = set(roadmap.goal_ids)
+    dist, parent, closed = {start: 0.0}, {start: -1}, set()
+    heap = [(heur(start), start)]
+    while heap:
+        _, v = heapq.heappop(heap)
+        if v in closed:
+            continue
+        closed.add(v)
+        if v in goals:
+            cost, ids = dist[v], []
+            while v != -1:
+                ids.append(v)
+                v = parent[v]
+            return [roadmap.vertices[i].tobytes() for i in reversed(ids)], repr(cost)
+        for u, w in adjacent(roadmap, v).items():
+            nd = dist[v] + w
+            if nd < dist.get(u, math.inf):
+                dist[u] = nd
+                parent[u] = v
+                heapq.heappush(heap, (nd + heur(u), u))
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_heuristic_table_keeps_per_push_paths(box_square, seed):
+    rm = prm_star(box_square, UniformStream(2, seed), 2000).roadmap
+    # the goal set is the vertices that GoalRegion.contains accepts
+    assert all(box_square.goal.contains(rm.vertices[g]) for g in rm.goal_ids)
+    for roadmap in (rm, dataclasses.replace(rm, goal=None)):
+        path = shortest_path(roadmap)
+        got = [q.tobytes() for q in path.waypoints], repr(path.cost)
+        assert got == per_push_astar(roadmap)
+
+
+def test_goal_set_membership_equals_contains_on_the_sphere(box_square):
+    # points within 3 ulps of the goal sphere, where an axis-wise norm
+    # rounds differently from the 1-D norm that contains takes
+    goal = box_square.goal
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.0, 2.0 * np.pi, 20000)
+    pts = goal.center + goal.radius * np.column_stack([np.cos(t), np.sin(t)])
+    steps = rng.integers(-3, 4, pts.shape)
+    for s in range(3):
+        pts = np.where(steps > s, np.nextafter(pts, np.inf),
+                       np.where(steps < -s, np.nextafter(pts, -np.inf), pts))
+    inside = _goal_distances(pts, goal) <= goal.radius
+    assert inside.tolist() == [goal.contains(p) for p in pts]
+    assert 0 < inside.sum() < len(pts)
 
 
 @settings(max_examples=80, deadline=None)

@@ -251,6 +251,44 @@ def test_sweeps_match_index(case):
     assert_sweeps_match_index(*case)
 
 
+def knn_lists_and_lexsorts(points, k, monkeypatch):
+    """knn_lists(points, k) as (src, dst) pairs, and how many lexsorts it ran."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        calls.append(keys)
+        return lexsort(keys)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", counted)
+        src, dst = knn_lists(points, k)
+    return list(zip(src.tolist(), dst.tolist())), len(calls)
+
+
+def test_knn_lists_tie_fallback_matches_index(monkeypatch):
+    # equal distances come out of the rank key in no set order, so parts
+    # with ties out of id order are re-sorted by the three-key lexsort; the
+    # reversed lattice gives ids against the sweep's cell order, so even a
+    # stable argsort leaves its ties out of id order
+    lattice = np.array([(x, y) for x in range(5) for y in range(5)]) * 0.1
+    rng = np.random.default_rng(4)
+    duplicates = rng.random((10, 2))[rng.integers(0, 10, 300)]
+    lexsorts = 0
+    for points, k in ((lattice, 4), (lattice[::-1], 4), (duplicates, 20)):
+        pairs, runs = knn_lists_and_lexsorts(points, k, monkeypatch)
+        assert pairs == index_knn_lists(points, k)
+        lexsorts += runs
+    assert lexsorts > 0
+
+
+def test_knn_lists_ranks_uniform_points_without_lexsort(monkeypatch):
+    points = np.random.default_rng(6).random((1500, 2))
+    pairs, lexsorts = knn_lists_and_lexsorts(points, 10, monkeypatch)
+    assert lexsorts == 0
+    assert pairs == index_knn_lists(points, 10)
+
+
 def test_sweeps_keep_pairs_at_a_tiny_radius_in_d4():
     # 1e6 cells per axis would overflow an int64 key in four dimensions
     rng = np.random.default_rng(3)
