@@ -12,6 +12,10 @@ out.
 
     python3 scripts/output_digest.py --seeds 1 2 3
     python3 scripts/output_digest.py --workload kino-box --seeds 1
+
+The same outputs, field by field, are what `tests/data/goldens.json` pins:
+`run_case` runs one case of that table and `expected` gives the values it
+pins, with the path hashed as `digest` hashes it.
 """
 
 from __future__ import annotations
@@ -19,12 +23,36 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _hash_path(h, path) -> None:
+    """Feed a path into hasher h: each array field's name, shape and float64 bytes."""
+    if path is None:
+        h.update(b"no path")
+        return
+    for f in dataclasses.fields(path):
+        value = getattr(path, f.name)
+        if isinstance(value, tuple):
+            rows = np.ascontiguousarray(np.asarray(value, dtype=float))
+            h.update(f"{f.name}{rows.shape}".encode())
+            h.update(rows.tobytes())
+        else:
+            h.update(f"{f.name}={value!r}".encode())
+
+
+def path_sha256(path) -> str:
+    """Hex SHA-256 of one path, hashed as `digest` hashes it."""
+    h = hashlib.sha256()
+    _hash_path(h, path)
+    return h.hexdigest()
 
 
 def digest(results) -> str:
@@ -34,29 +62,45 @@ def digest(results) -> str:
         for value in (result.best_cost, result.checkpoints, result.checkpoint_stats,
                       sorted(result.counters.items()), result.bounds):
             h.update(repr(value).encode())
-        path = result.path
-        if path is None:
-            h.update(b"no path")
-            continue
-        for f in dataclasses.fields(path):
-            value = getattr(path, f.name)
-            if isinstance(value, tuple):
-                rows = np.ascontiguousarray(np.asarray(value, dtype=float))
-                h.update(f"{f.name}{rows.shape}".encode())
-                h.update(rows.tobytes())
-            else:
-                h.update(f"{f.name}={value!r}".encode())
+        _hash_path(h, result.path)
     return h.hexdigest()
 
 
-def load_workloads():
-    """perfbench/workloads.py of this checkout, with this checkout's src importable first."""
+def expected(result) -> dict:
+    """The outputs a golden case pins, as the JSON values the table holds."""
+    return json.loads(json.dumps({
+        "best_cost": repr(result.best_cost),
+        "bounds": result.bounds,
+        "checkpoints": result.checkpoints,
+        "counters": result.counters,
+        "path_sha256": path_sha256(result.path),
+        "stats": result.checkpoint_stats,
+    }))
+
+
+def _import(name: str):
+    """A module of this checkout, with perfbench/ and src/ importable first."""
     for sub in ("perfbench", "src"):
         if str(REPO / sub) not in sys.path:
             sys.path.insert(0, str(REPO / sub))
-    import workloads
+    return importlib.import_module(name)
 
-    return workloads
+
+def load_workloads():
+    """perfbench/workloads.py of this checkout."""
+    return _import("workloads")
+
+
+def run_case(case: dict):
+    """One golden-table case through run_planner, on a fresh UniformStream at its seed."""
+    aoplan = _import("aoplan")
+    doc = json.loads((REPO / "scenarios" / case["scenario"]).read_text())
+    if "goal_radius" in case:
+        doc["goal"]["radius"] = case["goal_radius"]
+    scenario = aoplan.scenario_from_dict(doc)
+    stream = aoplan.UniformStream(scenario.dimension, case["seed"])
+    return aoplan.run_planner(scenario, case["planner"], stream, case["n"], case["params"],
+                              checkpoints=case["checkpoints"])
 
 
 def trial_digest(workload: str, seed: int) -> str:

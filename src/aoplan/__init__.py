@@ -57,7 +57,6 @@ from .geometry import (
     make_path,
     path_clearance,
     path_cost,
-    point_valid,
     points_valid,
     refine_path,
     scenario_from_dict,

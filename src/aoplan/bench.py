@@ -76,13 +76,23 @@ PLANNER_NAMES = (
 )
 
 
-def _shrink_param(value):
+def _param(params: dict, key: str, cast, default=None):
+    """Pop params[key] through cast (float, int or _xi_period); default if unset or None.
+
+    A value the cast refuses is a UsageError that names the key.
+    """
+    value = params.pop(key, None)
     if value is None:
-        return None
-    if isinstance(value, str):
-        xi, period = value.split(":")
-        return float(xi), int(period)
-    xi, period = value
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"parameter {key}: cannot use {value!r}") from None
+
+
+def _xi_period(value):
+    """'xi:period' text or an (xi, period) pair, as (float, int)."""
+    xi, period = value.split(":") if isinstance(value, str) else value
     return float(xi), int(period)
 
 
@@ -96,12 +106,11 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
     """
     p = dict(params)
     p.pop("n", None)
-    resolution = p.pop("resolution", None)
-    max_attempts = int(p.pop("max_attempts", 10_000))
-    eta = p.pop("eta", None)
-    eta = 0.1 * scenario.diagonal if eta is None else float(eta)
+    resolution = _param(p, "resolution", float)
+    max_attempts = _param(p, "max_attempts", int, 10_000)
+    eta = _param(p, "eta", float, 0.1 * scenario.diagonal)
     # only a set goal_bias is passed on, so each tree planner keeps its own default
-    bias = {"goal_bias": float(p.pop("goal_bias"))} if "goal_bias" in p else {}
+    bias = {"goal_bias": _param(p, "goal_bias", float)} if "goal_bias" in p else {}
 
     if planner in ("prm-star", "k-prm-star"):
         kind = "k_prm_star" if planner == "k-prm-star" else p.pop("radius_rule", "prm_star")
@@ -113,13 +122,12 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                       checkpoints=checkpoints, max_attempts=max_attempts, **bias)
     elif planner == "rrt-star":
         kind = p.pop("radius_rule", "rrt_star_revised")
-        eta_max = p.pop("eta_max", None)
+        eta_max = _param(p, "eta_max", float)
         rule = default_rule(kind, scenario, **_rule_kwargs(p))
-        run = partial(rrt_star, scenario, stream, n, eta, rule,
-                      eta_max=None if eta_max is None else float(eta_max),
+        run = partial(rrt_star, scenario, stream, n, eta, rule, eta_max=eta_max,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=p.pop("audit_every", None), **bias)
+                      audit_every=_param(p, "audit_every", int), **bias)
     elif planner in ("sst", "ao-rrt", "ao-meta"):
         system_name = p.pop("system", "integrator2d")
         if system_name not in SYSTEMS:
@@ -128,24 +136,24 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
         if planner == "sst":
             run = partial(
                 sst_plan, scenario, system, stream, n,
-                delta_bn=_opt_float(p.pop("delta_bn", None)),
-                delta_s=_opt_float(p.pop("delta_s", None)),
-                shrink=_shrink_param(p.pop("shrink", None)),
+                delta_bn=_param(p, "delta_bn", float),
+                delta_s=_param(p, "delta_s", float),
+                shrink=_param(p, "shrink", _xi_period),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=p.pop("audit_every", None),
+                audit_every=_param(p, "audit_every", int),
             )
         elif planner == "ao-rrt":
             run = partial(
                 ao_rrt_plan, scenario, system, stream, n,
-                cost_weight=float(p.pop("cost_weight", 1.0)),
-                initial_bound=_opt_float(p.pop("initial_bound", None)),
+                cost_weight=_param(p, "cost_weight", float, 1.0),
+                initial_bound=_param(p, "initial_bound", float),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=p.pop("audit_every", None),
+                audit_every=_param(p, "audit_every", int),
             )
         else:
-            rounds = int(p.pop("rounds", 5))
-            budget = int(p.pop("budget", 0)) or max(1, n // rounds)
-            beta = float(p.pop("beta", 0.1))
+            rounds = _param(p, "rounds", int, 5)
+            budget = _param(p, "budget", int, 0) or max(1, n // rounds)
+            beta = _param(p, "beta", float, 0.1)
 
             def bounded(bound, iters):
                 return cost_bounded_rrt(scenario, system, stream, bound, iters,
@@ -153,14 +161,14 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
 
             run = partial(ao_meta, bounded, beta, rounds, budget)
     elif planner == "drrt-star":
-        n_roadmap = int(p.pop("n_roadmap", 500))
+        n_roadmap = _param(p, "n_roadmap", int, 500)
         rule = None
         if "radius_rule" in p:
             rule = default_rule(p.pop("radius_rule"), scenario, **_rule_kwargs(p))
         run = partial(drrt_star, scenario, None, stream, n_roadmap, n, rule,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=p.pop("audit_every", None), **bias)
+                      audit_every=_param(p, "audit_every", int), **bias)
     else:
         raise UsageError(f"unknown planner {planner!r}")
     if p:
@@ -168,17 +176,10 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
     return run()
 
 
-def _opt_float(v):
-    return None if v is None else float(v)
-
-
 def _rule_kwargs(params: dict) -> dict:
-    out = {}
-    for key in ("theta", "nu", "eps", "c_star_estimate", "safety_factor",
-                "gamma_det", "fixed_radius"):
-        if key in params:
-            out[key] = float(params.pop(key))
-    return out
+    keys = ("theta", "nu", "eps", "c_star_estimate", "safety_factor", "gamma_det",
+            "fixed_radius")
+    return {key: _param(params, key, float) for key in keys if key in params}
 
 
 def _rows_for_trial(spec: RunSpec, scenario: Scenario, trial: int) -> list:

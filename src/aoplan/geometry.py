@@ -209,11 +209,6 @@ def points_valid(scenario: Scenario, pts: np.ndarray, margin=0.0) -> np.ndarray:
     return ok
 
 
-def point_valid(scenario: Scenario, q) -> bool:
-    """True iff q is inside the domain and collision-free."""
-    return _point_free(scenario._bounds, as_config(q, scenario.dimension).tolist(), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # edge validity
 #
@@ -766,7 +761,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if start is not None:
         if not scenario.domain.contains(start[None, :])[0]:
             raise ScenarioValidationError("start", "start lies outside the domain")
-        if not point_valid(scenario, start):
+        if not points_valid(scenario, start[None, :])[0]:
             raise ScenarioValidationError("start", "start is in collision")
     if goal is not None and not scenario.domain.contains(goal.center[None, :])[0]:
         raise ScenarioValidationError("goal.center", "goal center lies outside the domain")

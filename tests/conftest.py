@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,6 +12,15 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 OPT_EMPTY = 0.8 * np.sqrt(2.0)
 OPT_BOX = 2.0 * np.sqrt(0.3 ** 2 + 0.1 ** 2) + 0.2
+
+
+def load_output_digest():
+    """scripts/output_digest.py as a module."""
+    path = SCENARIO_DIR.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture_scenario(name):
@@ -49,21 +59,3 @@ def pocket_scenario():
         "start": [0.15, 0.15],
         "goal": {"center": [0.9, 0.9], "radius": 0.02},
     })
-
-
-def assert_golden(res, golden):
-    """Compare a PlanResult with values recorded from an earlier build, bit for bit.
-
-    The path is compared as plain lists: `waypoints` for a Path; `states`,
-    `controls` and `durations` for a Trajectory.
-    """
-    assert repr(res.best_cost) == golden["best_cost"]
-    assert res.checkpoints == golden["checkpoints"]
-    assert res.checkpoint_stats == golden["stats"]
-    assert res.counters == golden["counters"]
-    assert res.bounds == golden.get("bounds")
-    assert repr(res.path.cost) == golden["best_cost"]
-    for name in ("waypoints", "states", "controls", "durations"):
-        if name in golden:
-            got = [np.asarray(x).tolist() for x in getattr(res.path, name)]
-            assert got == golden[name], name

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import os
 import subprocess
 import sys
@@ -23,7 +22,7 @@ from aoplan import (
     summary_to_csv,
 )
 
-from conftest import SCENARIO_DIR, load_fixture_scenario
+from conftest import SCENARIO_DIR, load_fixture_scenario, load_output_digest
 
 EMPTY = str(SCENARIO_DIR / "empty_square.json")
 KINO = str(SCENARIO_DIR / "kino_square.json")
@@ -244,14 +243,6 @@ def test_run_planner_takes_the_shared_keys_for_every_planner():
                        {"resolution": 0.01, "max_attempts": 500})
     assert repr(got.best_cost) == repr(want.best_cost)
     assert got.counters == want.counters
-
-
-def load_output_digest():
-    path = SCENARIO_DIR.parent / "scripts" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("planner,scenario,params", [

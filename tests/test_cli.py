@@ -202,3 +202,27 @@ def test_benchmark_param_the_planner_does_not_read_is_usage_error(capsys, tmp_pa
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["radius", "--rule", "prm_star"]) == 2
+
+
+@pytest.mark.parametrize("planner,param", [
+    ("ao-rrt", "cost_weight=abc"),
+    ("rrt-star", "eta_max=abc"),
+    ("rrt-star", "audit_every=abc"),
+    ("sst", "shrink=0.5"),
+])
+def test_benchmark_param_of_the_wrong_type_is_usage_error(capsys, tmp_path, planner, param):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "benchmark", "--scenario", EMPTY, "--planner", planner,
+        "--trials", "1", "--seed", "5", "--checkpoints", "100",
+        "--param", param, "--out", str(out))
+    assert code == 2
+    assert param.split("=")[0] in err
+    assert not out.exists()
+
+
+def test_plan_shrink_without_period_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "plan", "--scenario", KINO, "--planner", "sst",
+                           "--n", "100", "--shrink", "0.5")
+    assert code == 2
+    assert "shrink" in err

@@ -1,6 +1,5 @@
 import dataclasses
 import heapq
-import json
 import math
 import signal
 
@@ -30,14 +29,7 @@ from aoplan import (
 )
 from aoplan.geometric import _goal_distances
 
-from conftest import (
-    DATA_DIR,
-    OPT_BOX,
-    OPT_EMPTY,
-    assert_golden,
-    load_fixture_scenario,
-    pocket_scenario,
-)
+from conftest import OPT_BOX, OPT_EMPTY, pocket_scenario
 
 
 def adjacent(roadmap, v):
@@ -394,222 +386,6 @@ def test_rrt_star_deterministic(empty_square):
     b = rrt_star(empty_square, UniformStream(2, 77), 1200, eta=0.15)
     assert a.best_cost == b.best_cost
     assert a.counters == b.counters
-
-
-# seed 21 recorded before the tree planners shared one tree core; seeds 2 and 3
-# recorded before rrt and rrt_star shared their set-up, target draw and extension
-GOLDEN_RRT = {
-    21: {
-        "best_cost": "1.0646622257648624",
-        "checkpoints": [(1500, 1.0646622257648624), (3000, 1.0646622257648624)],
-        "stats": [
-            {"n": 1500, "cost": 1.0646622257648624, "nodes": 1421, "edges": 1420,
-             "collision_checks": 1421, "work": 4421},
-            {"n": 3000, "cost": 1.0646622257648624, "nodes": 2865, "edges": 2864,
-             "collision_checks": 2865, "work": 8865},
-        ],
-        "counters": {"samples": 3000, "collision_checks": 2865, "nn_queries": 3000, "rewires": 0},
-        "waypoints": [[0.1, 0.5],
-                      [0.13600961406204884, 0.4067084800472074],
-                      [0.1959414374344178, 0.3266573929386417],
-                      [0.2824827157123483, 0.2765514336720854],
-                      [0.3753839572319461, 0.3135562890848195],
-                      [0.4747423981024017, 0.3022469907957044],
-                      [0.5466937184392959, 0.2327991146454747],
-                      [0.6264523890109045, 0.2931195462474586],
-                      [0.7062110595825131, 0.3534399778494426],
-                      [0.7445080398202994, 0.4458160640658796],
-                      [0.8389389024285477, 0.4787221757635892],
-                      [0.9, 0.5]],
-    },
-    2: {
-        "best_cost": "1.0478977755621586",
-        "checkpoints": [(1500, 1.0478977755621586), (3000, 1.0478977755621586)],
-        "stats": [
-            {"n": 1500, "cost": 1.0478977755621586, "nodes": 1427, "edges": 1426,
-             "collision_checks": 1433, "work": 4433},
-            {"n": 3000, "cost": 1.0478977755621586, "nodes": 2851, "edges": 2850,
-             "collision_checks": 2858, "work": 8858},
-        ],
-        "counters": {"samples": 3000, "collision_checks": 2858, "nn_queries": 3000,
-                     "rewires": 0},
-        "waypoints": [[0.1, 0.5],
-                      [0.15340560395761832, 0.5845449079834026],
-                      [0.24858141470533418, 0.6152298399291471],
-                      [0.33951922325122913, 0.5736327850229382],
-                      [0.4055904176026695, 0.6486967396015121],
-                      [0.505333086141325, 0.641527355193635],
-                      [0.4980560549172479, 0.6925181318299735],
-                      [0.5922359994242292, 0.7261356578047076],
-                      [0.6865778965304029, 0.6929753434152428],
-                      [0.7339914741906908, 0.6049301694790647],
-                      [0.8185213518071334, 0.5515007787830326],
-                      [0.9, 0.5]],
-    },
-    3: {
-        "best_cost": "1.2304316896082432",
-        "checkpoints": [(1500, 1.2304316896082432), (3000, 1.2304316896082432)],
-        "stats": [
-            {"n": 1500, "cost": 1.2304316896082432, "nodes": 1427, "edges": 1426,
-             "collision_checks": 1427, "work": 4427},
-            {"n": 3000, "cost": 1.2304316896082432, "nodes": 2837, "edges": 2836,
-             "collision_checks": 2838, "work": 8838},
-        ],
-        "counters": {"samples": 3000, "collision_checks": 2838, "nn_queries": 3000,
-                     "rewires": 0},
-        "waypoints": [[0.1, 0.5],
-                      [0.09412864224039919, 0.4331269402364738],
-                      [0.13592600420200682, 0.34228102380072883],
-                      [0.23444324024155355, 0.32512426993735966],
-                      [0.3221732562216932, 0.27713005886847714],
-                      [0.3490944979710705, 0.18082197643158307],
-                      [0.4489921452387694, 0.1853452573623258],
-                      [0.5376976524838436, 0.23151161940650358],
-                      [0.63684350977944, 0.24455381941728518],
-                      [0.6696988585408601, 0.33900235597431955],
-                      [0.758291217315823, 0.38538547754551433],
-                      [0.8360430958862907, 0.4482714487852373],
-                      [0.8660716485260163, 0.5436563848410068],
-                      [0.9107502280448823, 0.49881345034301394]],
-    },
-}
-
-
-# collision_checks and work re-recorded when rrt_star began validating lazily
-GOLDEN_RRT_STAR = {
-    "best_cost": "0.8222315485253253",
-    "checkpoints": [(800, 0.8420741686910704), (1600, 0.8222315485253253)],
-    "stats": [
-        {"n": 800, "cost": 0.8420741686910704, "nodes": 760, "edges": 759,
-         "collision_checks": 1937, "work": 5226},
-        {"n": 1600, "cost": 0.8222315485253253, "nodes": 1514, "edges": 1513,
-         "collision_checks": 4006, "work": 10681},
-    ],
-    "counters": {"samples": 1600, "collision_checks": 4006, "nn_queries": 3113, "rewires": 1962},
-    "waypoints": [[0.1, 0.5],
-                  [0.27600249333027593, 0.5568616278030506],
-                  [0.4220011640529241, 0.6081179445528694],
-                  [0.5935642363382473, 0.6012111590114165],
-                  [0.6512967506742451, 0.5916893529364848],
-                  [0.7985518373411815, 0.5409870614907133],
-                  [0.8860004581999014, 0.49998663285432043]],
-}
-
-
-# recorded while rrt_star still inlined its own copy of the radius formula
-GOLDEN_RRT_STAR_RULES = {
-    "fixed": {
-        "seed": 23,
-        "best_cost": "0.8270339686572061",
-        "checkpoints": [(800, 0.8431697574306173), (1600, 0.8270339686572061)],
-        "stats": [
-            {"n": 800, "cost": 0.8431697574306173, "nodes": 776, "edges": 775,
-             "collision_checks": 1619, "work": 4818},
-            {"n": 1600, "cost": 0.8270339686572061, "nodes": 1539, "edges": 1538,
-             "collision_checks": 3515, "work": 10097},
-        ],
-        "counters": {"samples": 1600, "collision_checks": 3515, "nn_queries": 3138,
-                     "rewires": 1844},
-        "waypoints": [[0.1, 0.5],
-                      [0.19084407297274364, 0.4671299324443482],
-                      [0.3203499746734869, 0.419124655518048],
-                      [0.43880896190523366, 0.38331414652141715],
-                      [0.5595185902114028, 0.39400136990642076],
-                      [0.6492976035534858, 0.39928033384896866],
-                      [0.7769245409182661, 0.4330926000130759],
-                      [0.8910629741388347, 0.485054544210912]],
-    },
-    "prm_star": {
-        "seed": 24,
-        "best_cost": "0.8417809579520102",
-        "checkpoints": [(800, 0.8417809579520102), (1600, 0.8417809579520102)],
-        "stats": [
-            {"n": 800, "cost": 0.8417809579520102, "nodes": 763, "edges": 762,
-             "collision_checks": 1520, "work": 4601},
-            {"n": 1600, "cost": 0.8417809579520102, "nodes": 1522, "edges": 1521,
-             "collision_checks": 2844, "work": 8798},
-        ],
-        "counters": {"samples": 1600, "collision_checks": 2844, "nn_queries": 3121,
-                     "rewires": 1233},
-        "waypoints": [[0.1, 0.5],
-                      [0.20969872387252042, 0.5192992432279605],
-                      [0.29051133859448863, 0.5508071643637045],
-                      [0.41657456287378114, 0.6101234164406054],
-                      [0.586739446563484, 0.6027522096816521],
-                      [0.6683855214347165, 0.6001114351237204],
-                      [0.8191996719117074, 0.5353313088801834],
-                      [0.9, 0.5]],
-    },
-}
-
-
-@pytest.mark.parametrize("kind", sorted(GOLDEN_RRT_STAR_RULES))
-def test_rrt_star_rule_golden(box_square, kind):
-    # the fixed radius 0.15 * safety stays under eta_max = 0.2, so both rules set r
-    golden = GOLDEN_RRT_STAR_RULES[kind]
-    extra = {"fixed_radius": 0.15} if kind == "fixed" else {}
-    res = rrt_star(box_square, UniformStream(2, golden["seed"]), 1600, eta=0.1,
-                   rule=default_rule(kind, box_square, **extra), checkpoints=(800, 1600))
-    assert_golden(res, golden)
-
-
-def test_rrt_golden(box_square):
-    res = rrt(box_square, UniformStream(2, 21), 3000, eta=0.1, checkpoints=(1500, 3000))
-    assert_golden(res, GOLDEN_RRT[21])
-
-
-@pytest.mark.parametrize("seed", [2, 3])
-def test_rrt_golden_at_more_seeds(box_square, seed):
-    res = rrt(box_square, UniformStream(2, seed), 3000, eta=0.1, checkpoints=(1500, 3000))
-    assert_golden(res, GOLDEN_RRT[seed])
-
-
-def test_rrt_star_golden(box_square):
-    res = rrt_star(box_square, UniformStream(2, 22), 1600, eta=0.1,
-                   checkpoints=(800, 1600), audit_every=200)
-    assert_golden(res, GOLDEN_RRT_STAR)
-
-
-# recorded before rrt_star validated edges lazily; only collision_checks and
-# work may differ from that build
-RRT_STAR_LAZY_GOLDEN = json.loads((DATA_DIR / "rrt_star_golden.json").read_text())
-
-
-@pytest.mark.parametrize("name,n,checkpoints", [
-    ("empty_square", 4000, (1000, 2000, 4000)),
-    ("box_square", 8000, (2000, 4000, 8000)),
-])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_rrt_star_lazy_validation_keeps_outputs(name, n, checkpoints, seed):
-    sc = load_fixture_scenario(f"{name}.json")
-    res = rrt_star(sc, UniformStream(2, seed), n, eta=0.1 * sc.diagonal,
-                   checkpoints=checkpoints)
-    golden = RRT_STAR_LAZY_GOLDEN[f"{name}-{seed}"]
-    assert repr(res.best_cost) == golden["best_cost"]
-    assert [list(c) for c in res.checkpoints] == golden["checkpoints"]
-    assert res.counters["nn_queries"] == golden["nn_queries"]
-    assert res.counters["rewires"] == golden["rewires"]
-    assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
-
-
-# recorded from the dict-of-dicts roadmap, before it became CSR arrays
-PRM_STAR_GOLDEN = json.loads((DATA_DIR / "prm_star_golden.json").read_text())
-
-
-@pytest.mark.parametrize("key", sorted(PRM_STAR_GOLDEN))
-def test_prm_star_golden(key):
-    planner, name, seed, n = key.rsplit("-", 3)
-    golden = PRM_STAR_GOLDEN[key]
-    checkpoints = [c for c, _ in golden["checkpoints"]]
-    res = run_planner(load_fixture_scenario(f"{name}.json"), planner,
-                      UniformStream(2, int(seed)), int(n), {}, checkpoints=checkpoints)
-    assert repr(res.best_cost) == golden["best_cost"]
-    assert [list(c) for c in res.checkpoints] == golden["checkpoints"]
-    # "edges" is the roadmap's num_edges at each checkpoint
-    assert res.checkpoint_stats == golden["stats"]
-    assert res.counters == golden["counters"]
-    assert [w.tolist() for w in res.path.waypoints] == golden["waypoints"]
-    assert res.roadmap.num_edges == golden["stats"][-1]["edges"]
 
 
 @pytest.mark.parametrize("planner", [rrt, rrt_star])

@@ -19,7 +19,6 @@ from aoplan import (
     make_path,
     path_clearance,
     path_cost,
-    point_valid,
     points_valid,
     refine_path,
     scenario_from_dict,
@@ -56,7 +55,7 @@ def naive_edge_valid(scenario, a, b, rho):
     m = max(1, int(math.ceil(float(np.linalg.norm(b - a)) / rho)))
     for i in range(m + 1):
         q = a if i == 0 else b if i == m else a + (i / m) * (b - a)
-        if not point_valid(scenario, q):
+        if not CollisionChecker(scenario).point_valid(q):
             return False
     return True
 
@@ -65,36 +64,36 @@ def naive_edge_valid(scenario, a, b, rho):
 
 
 def test_point_valid_empty_square():
-    assert point_valid(square(), (0.5, 0.5))
+    assert CollisionChecker(square()).point_valid((0.5, 0.5))
 
 
 def test_point_invalid_inside_box_obstacle():
-    assert not point_valid(square([BOX]), (0.5, 0.5))
+    assert not CollisionChecker(square([BOX])).point_valid((0.5, 0.5))
 
 
 def test_point_invalid_outside_domain():
-    assert not point_valid(square(), (1.2, 0.5))
+    assert not CollisionChecker(square()).point_valid((1.2, 0.5))
 
 
 def test_point_on_obstacle_boundary_is_invalid():
     sc = square([BOX])
-    assert not point_valid(sc, (0.4, 0.5))
-    assert not point_valid(sc, (0.6, 0.6))
+    assert not CollisionChecker(sc).point_valid((0.4, 0.5))
+    assert not CollisionChecker(sc).point_valid((0.6, 0.6))
 
 
 def test_point_on_domain_boundary_is_valid():
-    assert point_valid(square(), (0.0, 0.5))
+    assert CollisionChecker(square()).point_valid((0.0, 0.5))
 
 
 def test_ball_obstacle_closed():
     sc = square([{"type": "ball", "center": [0.5, 0.5], "radius": 0.1}])
-    assert not point_valid(sc, (0.6, 0.5))
-    assert point_valid(sc, (0.61, 0.5))
+    assert not CollisionChecker(sc).point_valid((0.6, 0.5))
+    assert CollisionChecker(sc).point_valid((0.61, 0.5))
 
 
 def test_point_valid_dimension_mismatch():
     with pytest.raises(UsageError):
-        point_valid(square(), (0.5, 0.5, 0.5))
+        CollisionChecker(square()).point_valid((0.5, 0.5, 0.5))
 
 
 # --- edge validity --------------------------------------------------------
@@ -185,7 +184,7 @@ def test_edge_refinement_monotone(obstacles, a, b):
 @given(q=point_st)
 def test_point_valid_implies_degenerate_edge_valid(q):
     sc = square([BOX])
-    if point_valid(sc, q):
+    if CollisionChecker(sc).point_valid(q):
         assert edge_valid(sc, q, q, 0.5)
 
 
@@ -258,7 +257,7 @@ def test_positive_clearance_implies_valid_waypoints():
     sc = square([BOX])
     path = make_path([(0.1, 0.1), (0.2, 0.15), (0.35, 0.2)])
     if path_clearance(sc, path, 0.005) > 0:
-        assert all(point_valid(sc, w) for w in path.waypoints)
+        assert all(CollisionChecker(sc).point_valid(w) for w in path.waypoints)
 
 
 def test_refine_path_preserves_cost_and_geometry():
@@ -358,8 +357,8 @@ def test_multirobot_scenario_loads_without_top_level_start():
 
 def test_pocket_scenario_loads():
     sc = pocket_scenario()
-    assert point_valid(sc, sc.start)
-    assert not point_valid(sc, sc.goal.center)
+    assert CollisionChecker(sc).point_valid(sc.start)
+    assert not CollisionChecker(sc).point_valid(sc.goal.center)
 
 
 def test_points_valid_vectorized_matches_scalar():
@@ -368,7 +367,7 @@ def test_points_valid_vectorized_matches_scalar():
     pts = rng.random((500, 2)) * 1.4 - 0.2
     flags = points_valid(sc, pts)
     for i in range(0, 500, 17):
-        assert flags[i] == point_valid(sc, pts[i])
+        assert flags[i] == CollisionChecker(sc).point_valid(pts[i])
 
 
 # --- one-item checker -------------------------------------------------------
@@ -441,7 +440,7 @@ def test_one_item_checks_match_batch_rows(scene):
         assert edge_valid(sc, a[i], b[i], rho, margin) == rows[i]
         assert checker.point_valid(a[i]) == ends[i]
         if margin == 0.0:
-            assert point_valid(sc, a[i]) == ends[i]
+            assert CollisionChecker(sc).point_valid(a[i]) == ends[i]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from aoplan import (
     Box,
+    CollisionChecker,
     HaltonStream,
     SaturationError,
     UniformStream,
@@ -118,10 +119,8 @@ def test_sample_free_saturates_when_fully_blocked():
 
 def test_sample_free_postcondition_with_obstacle():
     sc = _scenario([{"type": "box", "min": [0.4, 0.4], "max": [0.6, 0.6]}])
-    from aoplan import point_valid
-
     q = sample_free(UniformStream(2, 11), sc, 1000)
-    assert point_valid(sc, q)
+    assert CollisionChecker(sc).point_valid(q)
 
 
 def test_sample_free_exhausts_attempts():
