@@ -77,7 +77,7 @@ PLANNER_NAMES = (
 
 
 def _param(params: dict, key: str, cast, default=None):
-    """Pop params[key] through cast (float, int or _xi_period); default if unset or None.
+    """Pop params[key] through cast (float, _int or _xi_period); default if unset or None.
 
     A value the cast refuses is a UsageError that names the key.
     """
@@ -86,14 +86,22 @@ def _param(params: dict, key: str, cast, default=None):
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"parameter {key}: cannot use {value!r}") from None
+
+
+def _int(value) -> int:
+    """int(value), refusing a number with a fractional part instead of truncating it."""
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError(value)
+    return out
 
 
 def _xi_period(value):
     """'xi:period' text or an (xi, period) pair, as (float, int)."""
     xi, period = value.split(":") if isinstance(value, str) else value
-    return float(xi), int(period)
+    return float(xi), _int(period)
 
 
 def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
@@ -107,7 +115,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
     p = dict(params)
     p.pop("n", None)
     resolution = _param(p, "resolution", float)
-    max_attempts = _param(p, "max_attempts", int, 10_000)
+    max_attempts = _param(p, "max_attempts", _int, 10_000)
     eta = _param(p, "eta", float, 0.1 * scenario.diagonal)
     # only a set goal_bias is passed on, so each tree planner keeps its own default
     bias = {"goal_bias": _param(p, "goal_bias", float)} if "goal_bias" in p else {}
@@ -127,7 +135,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
         run = partial(rrt_star, scenario, stream, n, eta, rule, eta_max=eta_max,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=_param(p, "audit_every", int), **bias)
+                      audit_every=_param(p, "audit_every", _int), **bias)
     elif planner in ("sst", "ao-rrt", "ao-meta"):
         system_name = p.pop("system", "integrator2d")
         if system_name not in SYSTEMS:
@@ -140,7 +148,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 delta_s=_param(p, "delta_s", float),
                 shrink=_param(p, "shrink", _xi_period),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=_param(p, "audit_every", int),
+                audit_every=_param(p, "audit_every", _int),
             )
         elif planner == "ao-rrt":
             run = partial(
@@ -148,11 +156,11 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 cost_weight=_param(p, "cost_weight", float, 1.0),
                 initial_bound=_param(p, "initial_bound", float),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=_param(p, "audit_every", int),
+                audit_every=_param(p, "audit_every", _int),
             )
         else:
-            rounds = _param(p, "rounds", int, 5)
-            budget = _param(p, "budget", int, 0) or max(1, n // rounds)
+            rounds = _param(p, "rounds", _int, 5)
+            budget = _param(p, "budget", _int, 0) or max(1, n // rounds)
             beta = _param(p, "beta", float, 0.1)
 
             def bounded(bound, iters):
@@ -161,14 +169,14 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
 
             run = partial(ao_meta, bounded, beta, rounds, budget)
     elif planner == "drrt-star":
-        n_roadmap = _param(p, "n_roadmap", int, 500)
+        n_roadmap = _param(p, "n_roadmap", _int, 500)
         rule = None
         if "radius_rule" in p:
             rule = default_rule(p.pop("radius_rule"), scenario, **_rule_kwargs(p))
         run = partial(drrt_star, scenario, None, stream, n_roadmap, n, rule,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=_param(p, "audit_every", int), **bias)
+                      audit_every=_param(p, "audit_every", _int), **bias)
     else:
         raise UsageError(f"unknown planner {planner!r}")
     if p:
@@ -185,7 +193,7 @@ def _rule_kwargs(params: dict) -> dict:
 def _rows_for_trial(spec: RunSpec, scenario: Scenario, trial: int) -> list:
     seed = derive_seed(spec.base_seed, trial)
     stream = UniformStream(scenario.dimension, seed)
-    n = int(spec.params.get("n", spec.checkpoints[-1]))
+    n = _param(dict(spec.params), "n", _int, spec.checkpoints[-1])
     if n < spec.checkpoints[-1]:
         raise UsageError("params n is smaller than the last checkpoint")
     started = time.perf_counter()

@@ -24,7 +24,7 @@ from .geometry import (
     Scenario,
     as_config,
 )
-from .nn import NeighborIndex, knn_lists, radius_pairs
+from .nn import NeighborIndex, _pair_distances, distance, knn_lists, radius_pairs, row_distances
 from .sampling import sample_free
 
 RADIUS_RULES = ("prm_star", "fmt_star_constant", "rrt_star_revised", "k_prm_star", "fixed")
@@ -142,11 +142,10 @@ def steer(from_, toward, eta: float) -> np.ndarray:
         raise UsageError("eta must be > 0")
     a = as_config(from_)
     b = as_config(toward, a.shape[0], "steer target")
-    diff = b - a
-    dist = float(np.linalg.norm(diff))
+    dist = distance(b.tolist(), a.tolist())
     if dist <= eta:
         return b.copy()
-    return a + (eta / dist) * diff
+    return a + (eta / dist) * (b - a)
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +441,13 @@ def _cheapest(tree, nodes):
 # shortest path
 
 
-def _goal_distances(points: np.ndarray, goal: GoalRegion) -> np.ndarray:
-    """Each row's distance to the goal center, as sqrt(vecdot) of the difference.
-
-    vecdot is bit-equal to the 1-D `np.linalg.norm` that
-    `GoalRegion.contains` takes, so `_goal_distances(pts, goal) <=
-    goal.radius` is `contains` row by row.  The axis-wise norm is not: it
-    rounds differently a few ulps from the goal sphere.
-    """
-    diff = points - goal.center
-    return np.sqrt(np.vecdot(diff, diff))
-
-
 def shortest_path(roadmap: Roadmap) -> Optional[Path]:
     """Minimum-cost start-to-goal-set path by A*.
 
     The heuristic is the Euclidean distance to the goal-ball center minus
     the goal radius, clamped at zero (admissible and consistent); without
     a goal region it degrades to Dijkstra.  It is read from one table per
-    call, `heur`, built over all vertices by the sqrt(vecdot) kernel of
-    `_goal_distances`, whose values equal the per-vertex 1-D norm bit for
-    bit; the goal set of `prm_star` comes from the same kernel.
+    call, `heur`, built over all vertices.
     """
     goals = set(roadmap.goal_ids)
     if not goals:
@@ -470,7 +455,7 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
     start = roadmap.start_id
 
     if roadmap.goal is not None:
-        dists = _goal_distances(roadmap.vertices, roadmap.goal)
+        dists = row_distances(roadmap.vertices, roadmap.goal.center)
         heur = np.maximum(dists - roadmap.goal.radius, 0.0).tolist()
     else:
         heur = [0.0] * roadmap.vertices.shape[0]
@@ -539,9 +524,9 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
     for lo in range(0, a.shape[0], chunk):
         keep[lo:lo + chunk] = run.checker.edges_valid(pts[a[lo:lo + chunk]], pts[b[lo:lo + chunk]])
     a, b = a[keep], b[keep]
-    weights = np.linalg.norm(pts[a] - pts[b], axis=1)
+    weights = _pair_distances(pts, a, b)
 
-    ball = _goal_distances(pts, goal_region) <= goal_region.radius
+    ball = row_distances(pts, goal_region.center) <= goal_region.radius
     goal_ids = sorted({1, *np.nonzero(ball)[0].tolist()})
     return Roadmap.from_edges(pts, a, b, weights, 0, goal_ids, goal_region)
 
@@ -674,7 +659,7 @@ def rrt(
         if step is not None:
             near, v = step
             if run.checker.edge_valid(tree.config(near), v):
-                vid = tree.add(v, near, float(np.linalg.norm(v - tree.config(near))))
+                vid = tree.add(v, near, distance(v.tolist(), tree.config(near).tolist()))
                 index.insert(vid, v)
                 if not goal_nodes and scenario.goal.contains(v):
                     goal_nodes.append(vid)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError, UsageError
+from .nn import _pair_distances, distance, row_distances
 
 
 def as_config(q, d: Optional[int] = None, what: str = "config") -> np.ndarray:
@@ -55,7 +56,7 @@ class Box:
 
     @property
     def diagonal(self) -> float:
-        return float(np.linalg.norm(self.widths))
+        return distance(*self._bounds)
 
     def contains(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -90,7 +91,12 @@ class GoalRegion:
     radius: float
 
     def contains(self, q: np.ndarray) -> bool:
-        return float(np.linalg.norm(q - self.center)) <= self.radius
+        return distance(np.asarray(q, dtype=float).tolist(), self._center) <= self.radius
+
+    @cached_property
+    def _center(self) -> list:
+        """center as a list of floats, built on first use and kept on the instance."""
+        return self.center.tolist()
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,8 @@ def make_path(waypoints: Sequence) -> Path:
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot product, columns summed left to right.
 
-    The one-item checker sums in the same order, so both paths round alike
-    in any dimension (einsum does not sum left to right for d >= 3).
+    The one-item checker and the length kernel of `nn` sum in the same
+    order, so all of them round alike in any dimension.
     """
     acc = x[:, 0] * y[:, 0]
     for j in range(1, x.shape[1]):
@@ -177,12 +183,8 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin) -> np.ndarray:
-    """True where pts collide with the closed obstacle inflated by margin.
-
-    margin is a float, or an array with one margin per row of pts (it
-    broadcasts elementwise, so each row rounds as with a scalar margin).
-    """
+def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin: float) -> np.ndarray:
+    """True where pts collide with the closed obstacle inflated by margin."""
     if isinstance(ob, BoxObstacle):
         gap = np.maximum(ob.lo - pts, 0.0) + np.maximum(pts - ob.hi, 0.0)
         return _rowdot(gap, gap) <= margin * margin
@@ -191,14 +193,13 @@ def _obstacle_hit(ob: Obstacle, pts: np.ndarray, margin) -> np.ndarray:
     return _rowdot(diff, diff) <= r * r
 
 
-def points_valid(scenario: Scenario, pts: np.ndarray, margin=0.0) -> np.ndarray:
+def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Vectorized validity of an (m, d) array of configurations.
 
     A point is valid when it lies inside the closed domain box and outside
     every closed obstacle inflated by margin (a disc robot's radius: its
     center must stay inside the domain, its body may overhang the
     boundary).  Boundary contact with an obstacle counts as collision.
-    margin is a float or one value per point.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ok = scenario.domain.contains(pts)
@@ -480,45 +481,39 @@ def _segment_free(bounds, a, b, rho: float, margin: float) -> bool:
 # must lie in the domain and clear every obstacle inflated by the robot's
 # radius, and each robot pair must stay at least its radii sum apart.
 
-# relative rounding tolerance of the one-item composite check; errors in its
-# float arithmetic are about 1e-15 of the scene's scale
+# relative rounding tolerance of the composite check; errors in its float
+# arithmetic are about 1e-15 of the scene's scale
 _COMPOSITE_TOL = 1e-9
 
 
-def _composite_rows(scenario: Scenario, a, b, radii, rho: float) -> bool:
-    """Composite edge check over all m + 1 rows of every robot at once."""
-    radii = np.asarray(radii, dtype=float)
-    pa = np.array(a, dtype=float)
-    step = np.array(b, dtype=float) - pa
-    # vecdot is bit-equal to the 1-D np.linalg.norm of each robot's step
-    m = max(1, int(np.ceil(np.sqrt(np.vecdot(step, step)).max() / rho)))
-    # (m + 1, robots, d): row k puts robot i at t_k * (b_i - a_i) + a_i
-    tracks = (np.arange(m + 1) / m)[:, None, None] * step + pa
-    rows = tracks.reshape(-1, pa.shape[1])
-    if not points_valid(scenario, rows, margin=np.tile(radii, m + 1)).all():
-        return False
-    k = np.arange(len(radii))
-    i, j = np.nonzero(k[:, None] < k)
-    gap = np.linalg.norm(tracks[:, i] - tracks[:, j], axis=-1)
-    return not np.any(gap < radii[i] + radii[j])
+def _pair_clear(pi, pj, si, sj, m: int, rr: float) -> bool:
+    """True when two robots keep at least rr apart at every row k = 0..m."""
+    for k in range(m + 1):
+        t = k / m
+        acc = 0.0
+        for x, y, u, w in zip(pi, pj, si, sj):
+            g = (t * u + x) - (t * w + y)
+            acc += g * g
+        if math.sqrt(acc) < rr:
+            return False
+    return True
 
 
-def _composite_free(bounds, a, b, radii, rho: float):
-    """_composite_rows for one composite edge in plain Python, or None.
+def _composite_free(bounds, a, b, radii, rho: float) -> bool:
+    """Composite edge check in plain Python, as evaluating every row would decide it.
 
     a and b hold one list of floats per robot.  Points, obstacle hits and
-    pair gaps are computed as the batch computes them; the batch evaluates
-    every row, this check only those that can decide the verdict:
+    pair gaps are computed as they would be at every row k = 0..m; only the
+    rows that can decide the verdict are evaluated:
     - the domain is a box and rounding is monotone, so every computed
       point of a track lies between its first and last (k = m, computed as
       1.0*s + a), and the track is inside when both of them are;
     - per robot and obstacle, the _interval indices with +-1 slack, the
       interval taken with the margin widened by the tolerance;
     - per robot pair, the gap |D + tV| is convex in t, so only the indices
-      next to its minimiser, widened by the minimiser's rounding error.
-    Returns None when rounding could separate its verdict from the batch's:
-    a step count near an integer (vecdot may fuse multiply-adds) or a gap
-    within the tolerance of the radii sum.
+      next to its minimiser, widened by the minimiser's rounding error.  A
+      pair whose gap there comes within the tolerance of the radii sum is
+      settled by every row.
     """
     lo, hi, obstacles = bounds
     tol = _COMPOSITE_TOL * (1.0 + max(map(abs, lo + hi)))
@@ -529,11 +524,7 @@ def _composite_free(bounds, a, b, radii, rho: float):
         for t in s:
             acc += t * t
         sss.append(acc)
-    span = math.sqrt(max(sss)) / rho
-    n = round(span)
-    if n and abs(span - n) <= _COMPOSITE_TOL * span:
-        return None
-    m = max(1, math.ceil(span))
+    m = max(1, math.ceil(math.sqrt(max(sss)) / rho))
     for p, s in zip(a, steps):
         for x, y, l, h in zip(p, s, lo, hi):
             if not (l <= x <= h and l <= y + x <= h):
@@ -577,8 +568,12 @@ def _composite_free(bounds, a, b, radii, rho: float):
                     g = (t * u + x) - (t * w + y)
                     acc += g * g
                 gap = math.sqrt(acc)
+                if gap < rr:
+                    return False
                 if gap < rr + tol:
-                    return False if gap <= rr - tol else None
+                    if not _pair_clear(pi, pj, si, sj, m, rr):
+                        return False
+                    break
     return True
 
 
@@ -598,9 +593,8 @@ def path_cost(waypoints: Sequence) -> float:
     if len(waypoints) == 0:
         raise UsageError("path_cost needs at least one waypoint")
     pts = np.asarray([np.asarray(w, dtype=float) for w in waypoints])
-    if len(pts) == 1:
-        return 0.0
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    i = np.arange(len(pts) - 1)
+    return float(_pair_distances(pts, i, i + 1).sum())
 
 
 def _sample_polyline(waypoints, rho: float) -> np.ndarray:
@@ -609,7 +603,7 @@ def _sample_polyline(waypoints, rho: float) -> np.ndarray:
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        m = max(1, int(math.ceil(float(np.linalg.norm(b - a)) / rho)))
+        m = max(1, math.ceil(distance(b.tolist(), a.tolist()) / rho))
         ts = np.arange(1, m + 1) / m
         pts.append(a + ts[:, None] * (b - a))
     return np.vstack([p if p.ndim == 2 else p[None, :] for p in pts])
@@ -625,9 +619,9 @@ def clearance_of_points(scenario: Scenario, pts: np.ndarray) -> np.ndarray:
     for ob in scenario.obstacles:
         if isinstance(ob, BoxObstacle):
             gap = np.maximum(ob.lo - pts, 0.0) + np.maximum(pts - ob.hi, 0.0)
-            dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+            dist = np.sqrt(_rowdot(gap, gap))
         else:
-            dist = np.linalg.norm(pts - ob.center, axis=1) - ob.radius
+            dist = row_distances(pts, ob.center) - ob.radius
         clear = np.minimum(clear, dist)
     return clear
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AuditError, UsageError
 from .geometry import Scenario
 from .geometric import PlanResult, SearchTree, _Run
-from .nn import row_distances
+from .nn import distance, row_distances
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def single_integrator_2d(step: float = 0.02,
         return stream.next_point(scenario.domain)
 
     def in_disc(control):
-        return float(control @ control) <= 1.0
+        return distance(control.tolist(), (0.0, 0.0)) <= 1.0
 
     return DynamicalSystem(
         name="integrator2d",

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import AuditError, SaturationError, UsageError
 from .geometric import PlanResult, SearchTree, _Run, _cheapest, prm_star
-from .geometry import Scenario, _composite_free, _composite_rows, points_valid
+from .geometry import Scenario, _composite_free, points_valid
+from .nn import distance, row_distances
 
 # a tensor vertex is one roadmap vertex id per robot
 TensorVertex = Tuple[int, ...]
@@ -84,8 +85,7 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
 
     Every sampled composite configuration must keep each robot inside its
     inflated free space and every robot pair at least the sum of their
-    radii apart.  The one-item check decides; where rounding leaves it
-    unsure, the batch rows do, so the verdict is always the batch's.
+    radii apart.
     """
     if a.num_robots != b.num_robots:
         raise UsageError("composite configurations have different robot counts")
@@ -96,9 +96,7 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
     pa, pb = ([p if type(p) is list else list(map(float, p)) for p in c.per_robot] for c in (a, b))
     if not pa or any(len(p) != scenario.dimension for p in pa + pb):
         raise UsageError(f"composite configurations need {scenario.dimension}-D positions")
-    radii = list(map(float, a.robot_radii))
-    ok = _composite_free(scenario._bounds, pa, pb, radii, rho)
-    return _composite_rows(scenario, pa, pb, radii, rho) if ok is None else ok
+    return _composite_free(scenario._bounds, pa, pb, list(map(float, a.robot_radii)), rho)
 
 
 class _TensorTree(SearchTree):
@@ -149,14 +147,12 @@ class _TensorTree(SearchTree):
         """Summed per-robot Euclidean distance from q_flat to every tree vertex.
 
         One table per robot over its roadmap vertices, gathered through the
-        key rows and summed robot after robot: bit-equal to the einsum over
-        every tree vertex's per-robot positions.
+        key rows and summed robot after robot.
         """
         dist = 0.0
         cols = self.key_rows[:, : self.size]
         for rm, col, q in zip(self.roadmaps, cols, q_flat.reshape(self.r, self.d)):
-            diff = rm.vertices - q
-            dist = dist + np.sqrt(np.einsum("ij,ij->i", diff, diff))[col]
+            dist = dist + row_distances(rm.vertices, q)[col]
         return dist
 
     def nearest(self, q_flat: np.ndarray) -> int:
@@ -164,19 +160,14 @@ class _TensorTree(SearchTree):
         return int(np.argmin(self.distances(q_flat)))
 
     def closed_neighborhood(self, i: int, v: int):
-        """Sorted ids of robot i's vertex v and its roadmap neighbours, coordinates, step lengths.
-
-        A step is sqrt(vecdot) of the difference from v, bit-equal to the 1-D
-        np.linalg.norm; the roadmap's axis-wise-norm weights may differ by an ulp.
-        """
+        """Sorted ids of robot i's vertex v and its roadmap neighbours, coordinates, step lengths."""
         got = self.closed[i].get(v)
         if got is None:
             rm = self.roadmaps[i]
             nbrs = rm.neighbors(v)[0]
             ids = np.insert(nbrs, np.searchsorted(nbrs, v), v)
             coords = rm.vertices[ids]
-            diff = coords - rm.vertices[v]
-            got = self.closed[i][v] = (ids, coords, np.sqrt(np.vecdot(diff, diff)))
+            got = self.closed[i][v] = (ids, coords, row_distances(coords, rm.vertices[v]))
         return got
 
     def discovered_neighbors(self, key):
@@ -210,11 +201,10 @@ class _TensorTree(SearchTree):
         return ok
 
     def audit_costs(self, tol: float = 1e-9) -> None:
-        """Recheck every stored edge length as a sum of per-robot norms, then the core audit."""
+        """Recheck every stored edge length as a sum of per-robot distances, then the core audit."""
         for nid in range(1, self.size):
-            pairs = zip(self.roadmaps, self.keys[nid], self.keys[self.parent[nid]])
-            want = sum(float(np.linalg.norm(rm.vertices[a] - rm.vertices[b]))
-                       for rm, a, b in pairs)
+            pairs = zip(self.positions, self.keys[nid], self.keys[self.parent[nid]])
+            want = sum(distance(pos[a], pos[b]) for pos, a, b in pairs)
             if abs(self.edge_len[nid] - want) > tol:
                 raise AuditError(f"tensor tree edge length mismatch at {nid}")
         super().audit_costs(tol)
@@ -234,11 +224,8 @@ def _expand_candidate(tree: _TensorTree, q_rand: np.ndarray):
     new_key = []
     for i, target in enumerate(q_rand.reshape(tree.r, tree.d)):
         ids, coords, _ = tree.closed_neighborhood(i, key[i])
-        diff = coords - target
-        # vecdot matches the 1-D np.linalg.norm bit for bit; argmin over
-        # the sorted ids keeps the (distance, id) tie-break
-        dist = np.sqrt(np.vecdot(diff, diff))
-        new_key.append(int(ids[np.argmin(dist)]))
+        # argmin over the sorted ids keeps the (distance, id) tie-break
+        new_key.append(int(ids[np.argmin(row_distances(coords, target))]))
     new_key = tuple(new_key)
     if new_key == key:
         return None
@@ -289,8 +276,7 @@ def drrt_star(
     tree = _TensorTree(scenario, roadmaps, radii, rho, root_key)
 
     for i, j in combinations(range(len(robots)), 2):
-        gap = float(np.linalg.norm(roadmaps[i].vertices[0] - roadmaps[j].vertices[0]))
-        if gap < radii[i] + radii[j]:
+        if distance(tree.positions[i][0], tree.positions[j][0]) < radii[i] + radii[j]:
             raise UsageError(f"robots {i} and {j} overlap at their starts")
 
     goal_sets = [

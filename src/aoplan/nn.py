@@ -1,10 +1,13 @@
-"""Exact nearest-neighbor search under the Euclidean metric.
+"""Exact nearest-neighbor search, and the one Euclidean length kernel.
 
-Every distance here comes from one kernel, `row_distances(points, q)`: it
-squares the differences one column at a time and sums them left to right,
-`(p0 - q0)**2 + (p1 - q1)**2 + ...`, then takes the square root.  That is
-the order of `geometry._rowdot`, so it does not depend on how `points` is
-laid out in memory, and in d <= 2 it is bit-equal to `sqrt(einsum)`.
+Every float length in aoplan comes from one kernel: it squares the
+differences one coordinate at a time and sums them left to right,
+`(p0 - q0)**2 + (p1 - q1)**2 + ...`, then takes the square root.  Arrays
+take `row_distances(points, q)` (or `_pair_distances` for row pairs), a
+single pair of points takes `distance(p, q)` on Python floats.  Each is a
+chain of elementwise IEEE operations, so a length rounds alike in every
+form, whatever the memory layout and whichever BLAS or SIMD kernels the
+CPU selects.  `geometry._rowdot` sums in the same order.
 
 `NeighborIndex` is an incremental index backed by a contiguous
 grow-on-demand numpy buffer and scanned with the kernel, so query results
@@ -44,6 +47,15 @@ def _root_sum_squares(diffs):
 def row_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of an (n, d) array to the point q."""
     return _root_sum_squares(points[:, c] - q[c] for c in range(points.shape[1]))
+
+
+def distance(p, q) -> float:
+    """Euclidean distance between two points given as sequences of floats, as `row_distances`."""
+    acc = 0.0
+    for x, y in zip(p, q):
+        t = x - y
+        acc += t * t
+    return math.sqrt(acc)
 
 
 class NeighborIndex:

@@ -21,6 +21,7 @@ from .geometry import (
     points_valid,
     segments_valid,
 )
+from .nn import _pair_distances, distance
 
 
 def _visibility_vertices(scenario: Scenario, eps_vg: float) -> list:
@@ -66,14 +67,14 @@ def optimal_cost_2d_boxes(
     n = len(verts)
     pts = np.asarray(verts)
 
-    if float(np.linalg.norm(pts[0] - pts[1])) == 0.0:
+    if distance(verts[0].tolist(), verts[1].tolist()) == 0.0:
         return 0.0
 
     # all-pairs candidate edges, validated at the fine oracle resolution
     ia, ib = np.triu_indices(n, k=1)
     ok = segments_valid(scenario, pts[ia], pts[ib], resolution)
     a, b = ia[ok], ib[ok]
-    w = np.linalg.norm(pts[a] - pts[b], axis=1)
+    w = _pair_distances(pts, a, b)
     path = shortest_path(Roadmap.from_edges(pts, a, b, w, 0, [1]))
     return None if path is None else path.cost
 
@@ -90,7 +91,7 @@ def tiling_cover_check(scenario: Scenario, path: Path, ball_radius: float) -> bo
         raise UsageError("ball_radius must be > 0")
     wps = [np.asarray(w, dtype=float) for w in path.waypoints]
     for a, b in zip(wps[:-1], wps[1:]):
-        if float(np.linalg.norm(b - a)) > ball_radius:
+        if distance(b.tolist(), a.tolist()) > ball_radius:
             return False
     chunk = 100_000
     for lo in range(0, len(wps), chunk):

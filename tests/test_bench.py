@@ -235,6 +235,20 @@ def test_run_planner_rejects_parameters_the_planner_does_not_read():
         run_planner(scenario, "ao-rrt", UntouchedStream(), 300, {"system": "boat"})
 
 
+def test_run_planner_rejects_a_fractional_integer_parameter():
+    scenario = load_fixture_scenario("empty_square.json")
+    for planner, params in [("rrt-star", {"audit_every": 1.5}), ("drrt-star", {"n_roadmap": 2.7}),
+                            ("sst", {"shrink": (0.5, 2.5)}), ("prm-star", {"max_attempts": 1e400})]:
+        key = next(iter(params))
+        with pytest.raises(UsageError, match=f"parameter {key}"):
+            run_planner(scenario, planner, UntouchedStream(), 300, params)
+    # a whole number given as a float is that integer
+    got = run_planner(scenario, "prm-star", UniformStream(2, 1), 300, {"max_attempts": 500.0})
+    want = run_planner(scenario, "prm-star", UniformStream(2, 1), 300, {"max_attempts": 500})
+    assert repr(got.best_cost) == repr(want.best_cost)
+    assert got.counters == want.counters
+
+
 def test_run_planner_takes_the_shared_keys_for_every_planner():
     scenario = load_fixture_scenario("empty_square.json")
     shared = {"n": 300, "eta": 0.2, "goal_bias": 0.1, "resolution": 0.01, "max_attempts": 500}

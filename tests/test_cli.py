@@ -209,6 +209,8 @@ def test_missing_required_flag_is_usage_error(capsys):
     ("rrt-star", "eta_max=abc"),
     ("rrt-star", "audit_every=abc"),
     ("sst", "shrink=0.5"),
+    ("rrt-star", "audit_every=1.5"),
+    ("prm-star", "n=100.5"),
 ])
 def test_benchmark_param_of_the_wrong_type_is_usage_error(capsys, tmp_path, planner, param):
     out = tmp_path / "x.csv"
@@ -217,7 +219,7 @@ def test_benchmark_param_of_the_wrong_type_is_usage_error(capsys, tmp_path, plan
         "--trials", "1", "--seed", "5", "--checkpoints", "100",
         "--param", param, "--out", str(out))
     assert code == 2
-    assert param.split("=")[0] in err
+    assert f"parameter {param.split('=')[0]}:" in err
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from aoplan import (
     shortest_path,
     single_integrator_2d,
 )
-from aoplan.geometric import _goal_distances
+from aoplan.nn import distance, row_distances
 
 from conftest import OPT_BOX, OPT_EMPTY, pocket_scenario
 
@@ -197,13 +197,13 @@ def test_astar_matches_dijkstra_on_random_roadmap(empty_square):
 
 
 def per_push_astar(roadmap):
-    """shortest_path's A* with a 1-D np.linalg.norm heuristic per push: (waypoint bytes, repr(cost))."""
+    """shortest_path's A* with the heuristic computed per push: (waypoint bytes, repr(cost))."""
     goal = roadmap.goal
 
     def heur(v):
         if goal is None:
             return 0.0
-        return max(0.0, float(np.linalg.norm(roadmap.vertices[v] - goal.center)) - goal.radius)
+        return max(0.0, distance(roadmap.vertices[v].tolist(), goal.center.tolist()) - goal.radius)
 
     start = roadmap.start_id
     goals = set(roadmap.goal_ids)
@@ -241,8 +241,8 @@ def test_heuristic_table_keeps_per_push_paths(box_square, seed):
 
 
 def test_goal_set_membership_equals_contains_on_the_sphere(box_square):
-    # points within 3 ulps of the goal sphere, where an axis-wise norm
-    # rounds differently from the 1-D norm that contains takes
+    # points within 3 ulps of the goal sphere, where lengths summed in
+    # another order, or with fused multiply-adds, round differently
     goal = box_square.goal
     rng = np.random.default_rng(5)
     t = rng.uniform(0.0, 2.0 * np.pi, 20000)
@@ -251,7 +251,7 @@ def test_goal_set_membership_equals_contains_on_the_sphere(box_square):
     for s in range(3):
         pts = np.where(steps > s, np.nextafter(pts, np.inf),
                        np.where(steps < -s, np.nextafter(pts, -np.inf), pts))
-    inside = _goal_distances(pts, goal) <= goal.radius
+    inside = row_distances(pts, goal.center) <= goal.radius
     assert inside.tolist() == [goal.contains(p) for p in pts]
     assert 0 < inside.sum() < len(pts)
 

@@ -27,8 +27,9 @@ from aoplan import (
     shortest_path,
 )
 from aoplan import multirobot
-from aoplan.geometry import _composite_free, _composite_rows
+from aoplan.geometry import _composite_free
 from aoplan.multirobot import _expand_candidate, _TensorTree
+from aoplan.nn import _pair_distances, distance
 
 
 def empty_multi(robots):
@@ -100,30 +101,26 @@ def test_contact_separation_is_allowed():
     assert not composite_edge_valid(sc, a, tighter, 0.01)
 
 
-def composite_edge_valid_by_loop(scenario, a, b, rho):
-    """Per-robot reference for composite_edge_valid: one points_valid call per
-    robot, one gap norm per robot pair."""
-    radii = a.robot_radii
-    r = a.num_robots
-    seg_len = max(
-        float(np.linalg.norm(np.asarray(b.per_robot[i]) - np.asarray(a.per_robot[i])))
-        for i in range(r)
-    )
-    m = max(1, int(np.ceil(seg_len / rho)))
-    ts = np.arange(m + 1) / m
-    tracks = []
-    for i in range(r):
-        ai = np.asarray(a.per_robot[i], dtype=float)
-        bi = np.asarray(b.per_robot[i], dtype=float)
-        pts = ai + ts[:, None] * (bi - ai)
-        if not points_valid(scenario, pts, margin=radii[i]).all():
+def composite_rows(scenario, a, b, radii, rho):
+    """Reference composite check over every row k = 0..m of every robot.
+
+    One points_valid call per robot, one gap array per robot pair; the
+    step count and the gaps are lengths of the package's kernel.
+    """
+    pa = np.array(a, dtype=float)
+    pb = np.array(b, dtype=float)
+    r, d = pa.shape
+    k = np.arange(r)
+    m = max(1, int(np.ceil(_pair_distances(np.vstack([pa, pb]), k, k + r).max() / rho)))
+    # (m + 1, robots, d): row k puts robot i at t_k * (b_i - a_i) + a_i
+    tracks = (np.arange(m + 1) / m)[:, None, None] * (pb - pa) + pa
+    if not all(points_valid(scenario, tracks[:, i], radii[i]).all() for i in range(r)):
+        return False
+    rows = tracks.reshape(-1, d)
+    for i, j in itertools.combinations(range(r), 2):
+        gap = _pair_distances(rows, np.arange(i, len(rows), r), np.arange(j, len(rows), r))
+        if np.any(gap < radii[i] + radii[j]):
             return False
-        tracks.append(pts)
-    for i in range(r):
-        for j in range(i + 1, r):
-            gap = np.linalg.norm(tracks[i] - tracks[j], axis=1)
-            if np.any(gap < radii[i] + radii[j]):
-                return False
     return True
 
 
@@ -159,9 +156,10 @@ def test_composite_edge_valid_matches_per_robot_loop(obstacles, robots, rho):
     sc = Scenario(dimension=2, domain=Box(lo=np.zeros(2), hi=np.ones(2)),
                   obstacles=tuple(obstacles), start=None, goal=None)
     radii = [radius for _, _, radius in robots]
-    a = cc([start for start, _, _ in robots], radii)
-    b = cc([end for _, end, _ in robots], radii)
-    assert composite_edge_valid(sc, a, b, rho) == composite_edge_valid_by_loop(sc, a, b, rho)
+    a = [start for start, _, _ in robots]
+    b = [end for _, end, _ in robots]
+    assert composite_edge_valid(sc, cc(a, radii), cc(b, radii), rho) == composite_rows(
+        sc, a, b, radii, rho)
 
 
 def unit_box_scenario(d, obstacles=()):
@@ -188,31 +186,28 @@ def one_item_and_rows(case):
     a = [[float(x) for x in start] for start, _, _ in robots]
     b = [[float(x) for x in end] for _, end, _ in robots]
     radii = [float(radius) for _, _, radius in robots]
-    rows = _composite_rows(sc, a, b, radii, rho)
+    rows = composite_rows(sc, a, b, radii, rho)
     return sc, a, b, radii, _composite_free(sc._bounds, a, b, radii, rho), rows
 
 
-# the exact-contact pair of test_contact_separation_is_allowed, at a spacing
-# whose subdivision count is not near an integer
+# the exact-contact pair of test_contact_separation_is_allowed: every row's
+# gap ties the radii sum, so the pair is settled by its full-row scan
 CONTACT_CASE = (2, [], [((0.25, 0.25), (0.75, 0.25), 0.0625),
                         ((0.25, 0.375), (0.75, 0.375), 0.0625)], 0.3)
-# a step of exactly 8 subdivisions, where vecdot's rounding decides m
+# two robots in contact moving side by side: the first row's gap is exactly
+# the radii sum and a later row's rounds below it, found by the full-row scan
+SIDE_BY_SIDE_CASE = (2, [], [((0.39, 0.25), (0.55, 0.43), 0.0625),
+                             ((0.39, 0.375), (0.55, 0.5549999999999999), 0.0625)], 0.3)
+# a step of exactly 8 subdivisions
 WHOLE_STEP_CASE = (3, [], [((0.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0625)], 0.0625)
 # tracks that start on the domain boundary, or leave it by one ulp; computed
-# points lie between a track's first and last, so these need no fallback
+# points lie between a track's first and last
 WALL_CASE = (2, [], [((0.0, 0.5), (0.4, 0.8), 0.0625)], 0.3)
 OUT_BY_ULP_CASE = (2, [], [((0.5, 0.5), (1.0 + 2.0 ** -52, 0.75), 0.0625)], 0.3)
 # b touches the box, but the last point, computed as 1.0*(b - a) + a, stops
 # one ulp short of it
 SHORT_OF_BOX_CASE = (2, [BoxObstacle(lo=np.array([0.1, 0.4]), hi=np.array([0.3, 0.6]))],
                      [((0.8132702392002724, 0.5), (0.3, 0.5), 0.0)], 0.3)
-
-
-@pytest.mark.parametrize("case", [CONTACT_CASE, WHOLE_STEP_CASE])
-def test_one_item_composite_check_defers_near_rounding(case):
-    sc, a, b, radii, got, rows = one_item_and_rows(case)
-    assert got is None
-    assert composite_edge_valid(sc, cc(a, radii), cc(b, radii), case[3]) == rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,13 +219,13 @@ def test_one_item_composite_check_defers_near_rounding(case):
 @given(case=st.sampled_from([2, 3]).flatmap(composite_case))
 def test_one_item_composite_check_matches_batch_rows(case):
     sc, a, b, radii, got, rows = one_item_and_rows(case)
-    # a verdict is the batch's; None leaves composite_edge_valid to the batch
-    assert got is None or got == rows
+    assert got == rows
     assert composite_edge_valid(sc, cc(a, radii), cc(b, radii), case[3]) == rows
 
 
 @pytest.mark.parametrize("case, want", [
-    (WALL_CASE, True), (OUT_BY_ULP_CASE, False), (SHORT_OF_BOX_CASE, True)])
+    (WALL_CASE, True), (OUT_BY_ULP_CASE, False), (SHORT_OF_BOX_CASE, True),
+    (CONTACT_CASE, True), (WHOLE_STEP_CASE, True), (SIDE_BY_SIDE_CASE, False)])
 def test_one_item_composite_check_decides_on_boundaries(case, want):
     assert one_item_and_rows(case)[-2:] == (want, want)
 
@@ -386,7 +381,7 @@ def test_discovered_neighbors_and_edge_costs_match_brute_force(r, d, n, size, se
         for tid, got in zip(ids.tolist(), weights.tolist()):
             total = 0.0
             for a, b, rm in zip(tree.keys[tid], key, roadmaps):
-                total += float(np.linalg.norm(rm.vertices[a] - rm.vertices[b]))
+                total += distance(rm.vertices[a].tolist(), rm.vertices[b].tolist())
             assert got == total
         for i, v in enumerate(key):
             # staying put costs 0 in every robot
@@ -414,16 +409,15 @@ def test_drrt_star_passes_the_audit_every_iteration(swap_scenario):
 
 
 def distances_by_full_scan(tree, q_flat):
-    """The einsum over every tree vertex's configuration that the tables replaced.
-
-    The configurations are rebuilt row by row from the keys and the roadmaps:
-    einsum's summation order follows the memory layout, and the tables
-    reproduce the row-major one.
-    """
-    configs = np.array([np.concatenate([rm.vertices[v] for rm, v in zip(tree.roadmaps, key)])
-                        for key in tree.keys])
-    diff = (configs - q_flat).reshape(-1, tree.r, tree.d)
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
+    """Each tree vertex's summed per-robot distance, one vertex and robot at a time."""
+    targets = q_flat.reshape(tree.r, tree.d).tolist()
+    want = []
+    for key in tree.keys:
+        total = 0.0
+        for rm, v, q in zip(tree.roadmaps, key, targets):
+            total += distance(rm.vertices[v].tolist(), q)
+        want.append(total)
+    return np.array(want)
 
 
 def grid_roadmaps(seed, r, n, d):
@@ -469,7 +463,7 @@ def test_tensor_nearest_ties_go_to_the_lowest_id(r, d):
 
 
 def expand_by_loop(tree, q_rand):
-    """Per-candidate reference for _expand_candidate: norm argmin, (dist, id) ties."""
+    """Per-candidate reference for _expand_candidate: distance argmin, (dist, id) ties."""
     near = tree.nearest(q_rand)
     key = tree.keys[near]
     new_key = []
@@ -477,7 +471,7 @@ def expand_by_loop(tree, q_rand):
         target = q_rand.reshape(len(tree.roadmaps), -1)[i]
         best = None
         for c in [key[i]] + sorted(rm.neighbors(key[i])[0].tolist()):
-            dist = float(np.linalg.norm(rm.vertices[c] - target))
+            dist = distance(rm.vertices[c].tolist(), target.tolist())
             if best is None or (dist, c) < best:
                 best = (dist, c)
         new_key.append(best[1])
@@ -499,9 +493,9 @@ def test_vectorised_expansion_matches_per_candidate_loop(r, n, size, seed):
 @pytest.mark.parametrize("p1, p2, want", [
     # dyadic coordinates: both exactly 0.25 from the target, the lower id wins
     ((0.25, 0.0), (0.0, 0.25), 1),
-    # vertex 2 is one ulp closer under the 1-D norm; an axis-wise norm
-    # rounds both to the same length and would pick vertex 1
-    ((0.4025014618726901, 0.4039703948682469), (0.40250146187269, 0.403970394868247), 2),
+    # both lengths round alike when summed left to right, so the lower id
+    # wins, though vertex 2 is one ulp closer under a fused dot product
+    ((0.4025014618726901, 0.4039703948682469), (0.40250146187269, 0.403970394868247), 1),
 ])
 def test_expansion_near_ties(p1, p2, want):
     # the higher id is listed first
@@ -515,9 +509,8 @@ def test_expansion_near_ties(p1, p2, want):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_vecdot_matches_one_d_norm_bit_for_bit(d):
-    # _expand_candidate and _TensorTree's step tables rely on this to
-    # reproduce per-pair norms; the (pairs, robots, d) stacks that edge
-    # weights were once computed from give the same doubles
+    # both go through the CPU-selected BLAS dot kernel, which is why
+    # src/aoplan takes neither: see test_nn's kernel rule
     rng = np.random.default_rng(d)
     rows = rng.random((20000, d)) - rng.random((20000, d))
     slow = np.array([np.linalg.norm(row) for row in rows])

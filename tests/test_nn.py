@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aoplan import NeighborIndex, UsageError, knn_lists, radius_pairs
-from aoplan.nn import _pair_distances, row_distances
+from aoplan.nn import _pair_distances, distance, row_distances
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "aoplan"
 
 
 def linear_scan(points, q, k=None, radius=None):
@@ -181,6 +185,66 @@ def test_row_distances_leave_their_inputs_alone():
     q = np.array([0.0, 0.0])
     assert row_distances(points, q).tolist() == [0.0, 5.0]
     assert points.tolist() == [[0.0, 0.0], [3.0, 4.0]] and q.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_distance_is_the_scalar_form_of_row_distances(d):
+    rng = np.random.default_rng(20 + d)
+    points = rng.uniform(-3.0, 3.0, (400, d)) * rng.choice([1e-3, 1.0, 1e3], size=(400, d))
+    q = rng.uniform(-3.0, 3.0, d)
+    got = [distance(p, q.tolist()) for p in points.tolist()]
+    assert got == row_distances(points, q).tolist() == left_to_right(points, q).tolist()
+
+
+def _banned(name: str) -> bool:
+    """Whether a dotted name is a product or length computed outside the kernel."""
+    last = name.rsplit(".", 1)[-1]
+    return (last in ("vecdot", "einsum", "dot") or name.endswith("linalg.norm")
+            or name in ("math.hypot", "math.dist"))
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return "?"
+
+
+def other_length_kernels(source: str, matmul_in=()) -> list:
+    """Code lines that take np.linalg.norm, vecdot, einsum, a dot, math.hypot or math.dist,
+    or an @ outside the classes named in matmul_in; comments and docstrings are not code."""
+    tree = ast.parse(source)
+    allowed = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name in matmul_in
+               for node in ast.walk(cls)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            hit = id(node) not in allowed
+        elif isinstance(node, ast.Attribute):
+            hit = _banned(_dotted(node))
+        elif isinstance(node, ast.ImportFrom):
+            hit = any(_banned(f"{node.module}.{alias.name}") for alias in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_every_length_in_the_package_takes_the_kernel():
+    # the int64 cell keys of nn._Grid are the only matrix products
+    found = {path.name: other_length_kernels(path.read_text(), ("_Grid",) * (path.name == "nn.py"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself: code is flagged, comments, docstrings and decorators are not
+    assert other_length_kernels('"""np.linalg.norm(x), x @ y"""\n# np.dot(x, y)\n') == []
+    code = ("n = np.linalg.norm(x)\nv = np.vecdot(x, x)\ne = np.einsum('i,i', x, x)\n"
+            "d = x.dot(y)\nh = math.hypot(1, 2)\nfrom math import dist\n"
+            "@dataclass\nclass _Grid:\n    k = x @ y\n")
+    assert other_length_kernels(code) == [1, 2, 3, 4, 5, 6, 9]
+    assert other_length_kernels(code, ("_Grid",)) == [1, 2, 3, 4, 5, 6]
 
 
 # --- batch sweeps against the index ------------------------------------------
