@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .geometry import Scenario, load_scenario_file
-from .geometric import default_rule, prm_star, rrt, rrt_star
+from .geometric import _checkpoint_list, _whole, default_rule, prm_star, rrt, rrt_star
 from .kinodynamic import SYSTEMS, ao_meta, ao_rrt_plan, cost_bounded_rrt, sst_plan
 from .multirobot import drrt_star
 from .sampling import UniformStream
@@ -50,10 +50,7 @@ class RunSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
-        cps = tuple(int(c) for c in self.checkpoints)
-        if not cps or any(c <= 0 for c in cps) or tuple(sorted(cps)) != cps:
-            raise UsageError("checkpoints must be ascending positive integers")
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(self, "checkpoints", tuple(_checkpoint_list(self.checkpoints)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ PLANNER_NAMES = (
 
 
 def _param(params: dict, key: str, cast, default=None):
-    """Pop params[key] through cast (float, _int or _xi_period); default if unset or None.
+    """Pop params[key] through cast (float, _whole or _xi_period); default if unset or None.
 
     A value the cast refuses is a UsageError that names the key.
     """
@@ -86,36 +83,29 @@ def _param(params: dict, key: str, cast, default=None):
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, UsageError):
         raise UsageError(f"parameter {key}: cannot use {value!r}") from None
-
-
-def _int(value) -> int:
-    """int(value), refusing a number with a fractional part instead of truncating it."""
-    out = int(value)
-    if isinstance(value, float) and out != value:
-        raise ValueError(value)
-    return out
 
 
 def _xi_period(value):
     """'xi:period' text or an (xi, period) pair, as (float, int)."""
     xi, period = value.split(":") if isinstance(value, str) else value
-    return float(xi), _int(period)
+    return float(xi), _whole(period)
 
 
 def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 checkpoints=None):
-    """Dispatch one planner execution; params use the CLI flag vocabulary.
+    """Dispatch one planner execution; its params keys are the CLI's --param keys.
 
     `n`, `eta`, `goal_bias`, `resolution` and `max_attempts` are taken for
     every planner; any other key the chosen planner does not read is a
-    UsageError, raised before the planner runs.
+    UsageError, raised before the planner runs, as are bad checkpoints.
     """
     p = dict(params)
     p.pop("n", None)
+    checkpoints = None if checkpoints is None else _checkpoint_list(checkpoints)
     resolution = _param(p, "resolution", float)
-    max_attempts = _param(p, "max_attempts", _int, 10_000)
+    max_attempts = _param(p, "max_attempts", _whole, 10_000)
     eta = _param(p, "eta", float, 0.1 * scenario.diagonal)
     # only a set goal_bias is passed on, so each tree planner keeps its own default
     bias = {"goal_bias": _param(p, "goal_bias", float)} if "goal_bias" in p else {}
@@ -135,7 +125,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
         run = partial(rrt_star, scenario, stream, n, eta, rule, eta_max=eta_max,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=_param(p, "audit_every", _int), **bias)
+                      audit_every=_param(p, "audit_every", _whole), **bias)
     elif planner in ("sst", "ao-rrt", "ao-meta"):
         system_name = p.pop("system", "integrator2d")
         if system_name not in SYSTEMS:
@@ -148,7 +138,7 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 delta_s=_param(p, "delta_s", float),
                 shrink=_param(p, "shrink", _xi_period),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=_param(p, "audit_every", _int),
+                audit_every=_param(p, "audit_every", _whole),
             )
         elif planner == "ao-rrt":
             run = partial(
@@ -156,11 +146,11 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
                 cost_weight=_param(p, "cost_weight", float, 1.0),
                 initial_bound=_param(p, "initial_bound", float),
                 resolution=resolution, checkpoints=checkpoints,
-                audit_every=_param(p, "audit_every", _int),
+                audit_every=_param(p, "audit_every", _whole),
             )
         else:
-            rounds = _param(p, "rounds", _int, 5)
-            budget = _param(p, "budget", _int, 0) or max(1, n // rounds)
+            rounds = _param(p, "rounds", _whole, 5)
+            budget = _param(p, "budget", _whole, 0) or max(1, n // rounds)
             beta = _param(p, "beta", float, 0.1)
 
             def bounded(bound, iters):
@@ -169,14 +159,14 @@ def run_planner(scenario: Scenario, planner: str, stream, n: int, params: dict,
 
             run = partial(ao_meta, bounded, beta, rounds, budget)
     elif planner == "drrt-star":
-        n_roadmap = _param(p, "n_roadmap", _int, 500)
+        n_roadmap = _param(p, "n_roadmap", _whole, 500)
         rule = None
         if "radius_rule" in p:
             rule = default_rule(p.pop("radius_rule"), scenario, **_rule_kwargs(p))
         run = partial(drrt_star, scenario, None, stream, n_roadmap, n, rule,
                       resolution=resolution, checkpoints=checkpoints,
                       max_attempts=max_attempts,
-                      audit_every=_param(p, "audit_every", _int), **bias)
+                      audit_every=_param(p, "audit_every", _whole), **bias)
     else:
         raise UsageError(f"unknown planner {planner!r}")
     if p:
@@ -190,31 +180,25 @@ def _rule_kwargs(params: dict) -> dict:
     return {key: _param(params, key, float) for key in keys if key in params}
 
 
-def _rows_for_trial(spec: RunSpec, scenario: Scenario, trial: int) -> list:
+def _trial_task(task) -> list:
+    """The CSV rows of one trial; task is (spec, trial index)."""
+    spec, trial = task
+    scenario = load_scenario_file(spec.scenario_path)
     seed = derive_seed(spec.base_seed, trial)
     stream = UniformStream(scenario.dimension, seed)
-    n = _param(dict(spec.params), "n", _int, spec.checkpoints[-1])
+    n = _param(dict(spec.params), "n", _whole, spec.checkpoints[-1])
     if n < spec.checkpoints[-1]:
         raise UsageError("params n is smaller than the last checkpoint")
     started = time.perf_counter()
     result = run_planner(scenario, spec.planner, stream, n, spec.params,
                          checkpoints=spec.checkpoints)
-    elapsed = time.perf_counter() - started
-    timed_out = spec.time_budget is not None and elapsed > spec.time_budget
-
-    stats_by_n = {}
-    for st in result.checkpoint_stats:
-        stats_by_n[st["n"]] = st
-    ordered = sorted(stats_by_n)
+    timed_out = spec.time_budget is not None and time.perf_counter() - started > spec.time_budget
     rows = []
     for c in spec.checkpoints:
         # planners that report their own grid (the meta loop) map to the
         # latest record at or before the requested checkpoint
-        have = [m for m in ordered if m <= c]
-        st = stats_by_n[have[-1]] if have else None
-        cost = st["cost"] if st else None
-        if timed_out:
-            cost = None
+        st = next((st for st in reversed(result.checkpoint_stats) if st["n"] <= c), None)
+        cost = None if st is None or timed_out else st["cost"]
         rows.append(ResultRow(
             scenario=spec.scenario_path,
             planner=spec.planner,
@@ -230,12 +214,6 @@ def _rows_for_trial(spec: RunSpec, scenario: Scenario, trial: int) -> list:
     return rows
 
 
-def _trial_task(args):
-    spec, trial = args
-    scenario = load_scenario_file(spec.scenario_path)
-    return _rows_for_trial(spec, scenario, trial)
-
-
 def run_benchmark(spec: RunSpec, workers: int = 1) -> list:
     """Execute all trials; rows are merged in trial order.
 
@@ -245,23 +223,16 @@ def run_benchmark(spec: RunSpec, workers: int = 1) -> list:
     """
     if spec.planner not in PLANNER_NAMES:
         raise UsageError(f"unknown planner {spec.planner!r}")
-    scenario = load_scenario_file(spec.scenario_path)
-    if workers <= 1 or spec.trials == 1:
-        out = []
-        for trial in range(spec.trials):
-            out.extend(_rows_for_trial(spec, scenario, trial))
-        return out
-    # imported here, its only use, so that `import aoplan` stays light
-    from multiprocessing import get_context
-
     tasks = [(spec, trial) for trial in range(spec.trials)]
-    ctx = get_context("fork")
-    with ctx.Pool(processes=min(workers, spec.trials)) as pool:
-        chunks = pool.map(_trial_task, tasks)
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+    if workers <= 1 or spec.trials == 1:
+        chunks = map(_trial_task, tasks)
+    else:
+        # imported here, its only use, so that `import aoplan` stays light
+        from multiprocessing import get_context
+
+        with get_context("fork").Pool(processes=min(workers, spec.trials)) as pool:
+            chunks = pool.map(_trial_task, tasks)
+    return [row for chunk in chunks for row in chunk]
 
 
 # ---------------------------------------------------------------------------

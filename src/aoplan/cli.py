@@ -28,7 +28,7 @@ from .errors import (
     ScenarioValidationError,
     UsageError,
 )
-from .geometric import RadiusRule, connection_radius, k_connection
+from .geometric import RADIUS_RULES, RadiusRule, connection_radius, k_connection
 from .geometry import Box, load_scenario_file
 from .kinodynamic import Trajectory
 from .multirobot import CompositePath
@@ -43,23 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run one planner on one scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--planner", required=True)
-    p.add_argument("--n", type=int, required=True,
-                   help="samples / iterations (per-round budget for ao-meta)")
+    p.add_argument("--n", type=int, required=True, help="samples / iterations, run_planner's n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=["uniform", "halton"], default="uniform")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--goal-bias", type=float)
-    p.add_argument("--radius-rule")
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--system", choices=["integrator2d", "car"])
-    p.add_argument("--delta-bn", type=float)
-    p.add_argument("--delta-s", type=float)
-    p.add_argument("--shrink", help="xi:period, e.g. 0.95:5000")
-    p.add_argument("--cost-weight", type=float)
-    p.add_argument("--initial-bound", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--n-roadmap", type=int)
+    p.add_argument("--param", action="append", default=[],
+                   help="planner parameter key=value (repeatable)")
     p.add_argument("--out")
 
     b = sub.add_parser("benchmark", help="run seeded trials and persist a CSV")
@@ -71,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--time-budget", type=float)
     b.add_argument("--param", action="append", default=[],
-                   help="extra planner parameter key=value (repeatable)")
+                   help="planner parameter key=value (repeatable)")
     b.add_argument("--out", required=True)
 
     r = sub.add_parser("report", help="summarize a results CSV into SVG + summary")
@@ -81,18 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--summary", help="summary CSV output path")
 
     ra = sub.add_parser("radius", help="print a connection-rule value")
-    ra.add_argument("--rule", required=True,
-                    choices=["prm_star", "fmt_star_constant", "rrt_star_revised",
-                             "k_prm_star", "fixed"])
+    ra.add_argument("--rule", required=True, choices=RADIUS_RULES)
     ra.add_argument("--d", type=int, required=True)
     ra.add_argument("--mu", type=float, required=True)
     ra.add_argument("--n", type=int, required=True)
-    ra.add_argument("--safety", type=float, default=1.001)
-    ra.add_argument("--c-star", type=float)
-    ra.add_argument("--theta", type=float, default=0.2)
-    ra.add_argument("--nu", type=float, default=0.5)
-    ra.add_argument("--eps", type=float, default=0.5)
-    ra.add_argument("--fixed-radius", type=float)
+    # unset options stay out of the namespace, so RadiusRule's defaults apply
+    for flag, key in (("--safety", "safety_factor"), ("--c-star", "c_star_estimate"),
+                      ("--theta", "theta"), ("--nu", "nu"), ("--eps", "eps"),
+                      ("--fixed-radius", "fixed_radius")):
+        ra.add_argument(flag, dest=key, type=float, default=argparse.SUPPRESS)
 
     di = sub.add_parser("dispersion", help="measure sample dispersion on the unit cube")
     di.add_argument("--sampler", choices=["uniform", "halton"], required=True)
@@ -104,18 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="print the visibility-graph optimal cost")
     orc.add_argument("--scenario", required=True)
     return top
-
-
-def _plan_params(args) -> dict:
-    pairs = {
-        "eta": args.eta, "goal_bias": args.goal_bias,
-        "radius_rule": args.radius_rule, "resolution": args.resolution,
-        "system": args.system, "delta_bn": args.delta_bn, "delta_s": args.delta_s,
-        "shrink": args.shrink, "cost_weight": args.cost_weight,
-        "initial_bound": args.initial_bound, "beta": args.beta,
-        "rounds": args.rounds, "n_roadmap": args.n_roadmap,
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
 
 
 def _solution_document(result) -> dict:
@@ -137,14 +110,10 @@ def _solution_document(result) -> dict:
 def _cmd_plan(args) -> int:
     scenario = load_scenario_file(args.scenario)
     stream = make_stream(scenario.dimension, args.sampler, args.seed)
-    if args.planner == "ao-meta" and args.rounds:
-        n = args.n * args.rounds
-    else:
-        n = args.n
-    params = _plan_params(args)
-    if args.planner == "ao-meta":
-        params["budget"] = args.n
-    result = run_planner(scenario, args.planner, stream, n, params)
+    params = _parse_params(args.param)
+    if "n" in params:
+        raise UsageError("plan takes n as --n, not as a --param")
+    result = run_planner(scenario, args.planner, stream, args.n, params)
     if result.best_cost is None:
         print("no path found", file=sys.stderr)
         return 1
@@ -167,19 +136,24 @@ def _parse_value(text: str):
     return text
 
 
-def _cmd_benchmark(args) -> int:
+def _parse_params(items) -> dict:
+    """run_planner params from repeated --param key=value texts."""
     params = {}
-    for item in args.param:
+    for item in items:
         if "=" not in item:
             raise UsageError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key.replace("-", "_")] = _parse_value(value)
+    return params
+
+
+def _cmd_benchmark(args) -> int:
     try:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(",") if c)
     except ValueError:
         raise UsageError("--checkpoints expects comma-separated integers")
     spec = RunSpec(
-        scenario_path=args.scenario, planner=args.planner, params=params,
+        scenario_path=args.scenario, planner=args.planner, params=_parse_params(args.param),
         trials=args.trials, base_seed=args.seed, checkpoints=checkpoints,
         time_budget=args.time_budget,
     )
@@ -205,11 +179,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    rule = RadiusRule(
-        rule=args.rule, d=args.d, mu=args.mu, theta=args.theta, nu=args.nu,
-        eps=args.eps, c_star_estimate=args.c_star, safety_factor=args.safety,
-        fixed_radius=args.fixed_radius,
-    )
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "n")}
+    rule = RadiusRule(**options)
     if args.rule == "k_prm_star":
         print(k_connection(args.d, args.n))
     else:

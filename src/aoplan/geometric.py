@@ -61,7 +61,7 @@ class RadiusRule:
             raise UsageError(f"unknown radius rule {self.rule!r}")
         if self.d < 1:
             raise UsageError("dimension must be >= 1")
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise UsageError("measure upper bound mu must be > 0")
         if not 0.0 < self.theta < 0.25:
             raise UsageError("theta must lie in (0, 1/4)")
@@ -69,13 +69,13 @@ class RadiusRule:
             raise UsageError("nu must lie in (0, 1)")
         if not 0.0 < self.eps < 1.0:
             raise UsageError("eps must lie in (0, 1)")
-        if self.safety_factor < 1.0:
+        if not self.safety_factor >= 1.0:
             raise UsageError("safety_factor must be >= 1")
-        if self.gamma_det <= 2.0:
+        if not self.gamma_det > 2.0:
             raise UsageError("gamma_det must be > 2")
-        if self.c_star_estimate is not None and self.c_star_estimate <= 0.0:
+        if self.c_star_estimate is not None and not self.c_star_estimate > 0.0:
             raise UsageError("c_star_estimate must be > 0")
-        if self.rule == "fixed" and (self.fixed_radius is None or self.fixed_radius <= 0.0):
+        if self.rule == "fixed" and not (self.fixed_radius or 0.0) > 0.0:
             raise UsageError("fixed rule needs fixed_radius > 0")
 
 
@@ -138,7 +138,7 @@ def rgg_connectivity_radius(d: int, n: int) -> float:
 
 def steer(from_, toward, eta: float) -> np.ndarray:
     """Move from `from_` toward `toward`, at most eta away."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise UsageError("eta must be > 0")
     a = as_config(from_)
     b = as_config(toward, a.shape[0], "steer target")
@@ -355,7 +355,9 @@ class _Run:
         self.t0 = time.perf_counter()
         self.scenario = scenario
         self.checker = CollisionChecker(scenario, resolution, margin)
-        self.checkpoints = _normalize_checkpoints(checkpoints, n)
+        self.checkpoints = [n] if checkpoints is None else _checkpoint_list(checkpoints)
+        if self.checkpoints[-1] > n:
+            raise UsageError("checkpoints cannot exceed n")
         self.due = set(self.checkpoints)
         self.records = []
         self.stats = []
@@ -371,19 +373,9 @@ class _Run:
             "rewires": self.rewires,
         }
 
-    def work(self) -> int:
-        return self.samples + self.checker.checks + self.nn_queries + self.rewires
-
     def record(self, n, cost, nodes, edges) -> None:
         self.records.append((n, cost))
-        self.stats.append({
-            "n": n,
-            "cost": cost,
-            "nodes": nodes,
-            "edges": edges,
-            "collision_checks": self.checker.checks,
-            "work": self.work(),
-        })
+        self.stats.append(_checkpoint_stat(n, cost, nodes, edges, self.counters()))
 
     def tree_checkpoint(self, it, tree, goal_nodes) -> None:
         """At a due iteration, record the cheapest goal node's cost and the tree's size."""
@@ -409,15 +401,29 @@ class _Run:
         )
 
 
-def _normalize_checkpoints(checkpoints, n: int) -> list:
-    if checkpoints is None:
-        return [n]
-    cps = [int(c) for c in checkpoints]
-    if not cps or any(c <= 0 for c in cps) or sorted(cps) != cps:
-        raise UsageError("checkpoints must be ascending positive integers")
-    if cps[-1] > n:
-        raise UsageError("checkpoints cannot exceed n")
+def _whole(value) -> int:
+    """int(value); UsageError for a value that is not a whole number (2.5, nan, 'x')."""
+    try:
+        out = int(value)
+        if isinstance(value, float) and out != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{value!r} is not a whole number") from None
+    return out
+
+
+def _checkpoint_list(checkpoints) -> list:
+    """The checkpoints as strictly ascending positive whole numbers, or UsageError."""
+    cps = [_whole(c) for c in checkpoints]
+    if not cps or cps[0] <= 0 or any(a >= b for a, b in zip(cps, cps[1:])):
+        raise UsageError("checkpoints must be strictly ascending positive integers")
     return cps
+
+
+def _checkpoint_stat(n, cost, nodes, edges, counters) -> dict:
+    """One checkpoint's record: work is the sum of the run's counters."""
+    return {"n": n, "cost": cost, "nodes": nodes, "edges": edges,
+            "collision_checks": counters["collision_checks"], "work": sum(counters.values())}
 
 
 def _kinematic_start(run, start, goal):
@@ -600,7 +606,7 @@ def _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution):
     """Check the shared tree parameters: (run, rooted tree, its index, trivial result or None)."""
     if n < 2:
         raise UsageError("n must be >= 2")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise UsageError("eta must be > 0")
     if not 0.0 <= goal_bias <= 1.0:
         raise UsageError("goal_bias must lie in [0, 1]")
@@ -699,7 +705,7 @@ def rrt_star(
     if rule.rule == "k_prm_star":
         raise UsageError("rrt_star needs a radius rule, not the k rule")
     eta_max = 2.0 * eta if eta_max is None else float(eta_max)
-    if eta_max <= 0.0:
+    if not eta_max > 0.0:
         raise UsageError("eta_max must be > 0")
     run, tree, index, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
     if done:

@@ -220,6 +220,12 @@ def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np
 # exactly what evaluating every subdivision point would.
 
 
+def _check_resolution(rho) -> None:
+    """UsageError unless the subdivision resolution rho is finite and > 0 (nan is not)."""
+    if not 0.0 < rho < math.inf:
+        raise UsageError("resolution rho must be finite and > 0")
+
+
 def _canonical_rows(a: np.ndarray, b: np.ndarray):
     """Order each (a_i, b_i) pair lexicographically so checks are symmetric."""
     swap = np.zeros(a.shape[0], dtype=bool)
@@ -324,8 +330,7 @@ def segments_valid(
     Equivalent to checking every subdivision point of each segment at
     spacing <= rho (endpoints included) with points_valid.
     """
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
+    _check_resolution(rho)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape != b.shape or a.shape[1] != scenario.dimension:
@@ -359,8 +364,7 @@ def segments_valid(
 
 def edge_valid(scenario: Scenario, a, b, rho: float, margin: float = 0.0) -> bool:
     """True iff every subdivision point of segment ab at spacing <= rho is valid."""
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
+    _check_resolution(rho)
     a = as_config(a, scenario.dimension, "edge endpoint")
     b = as_config(b, scenario.dimension, "edge endpoint")
     return _segment_free(scenario._bounds, a.tolist(), b.tolist(), rho, margin)
@@ -630,8 +634,7 @@ def path_clearance(scenario: Scenario, path: Path, rho: float) -> float:
     """Minimum sampled clearance along a path; 0 if any sampled point is invalid."""
     if len(path.waypoints) == 0:
         raise UsageError("path_clearance needs a nonempty path")
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
+    _check_resolution(rho)
     pts = _sample_polyline(path.waypoints, rho)
     if not points_valid(scenario, pts).all():
         return 0.0
@@ -640,7 +643,7 @@ def path_clearance(scenario: Scenario, path: Path, rho: float) -> float:
 
 def refine_path(path: Path, spacing: float) -> Path:
     """Densify waypoints to spacing <= the given value; geometry and cost unchanged."""
-    if spacing <= 0.0:
+    if not spacing > 0.0:
         raise UsageError("spacing must be > 0")
     if len(path.waypoints) == 1:
         return path
@@ -796,8 +799,7 @@ class CollisionChecker:
                  margin: float = 0.0):
         if resolution is None:
             resolution = scenario.default_resolution()
-        if resolution <= 0.0:
-            raise UsageError("resolution rho must be > 0")
+        _check_resolution(resolution)
         self.scenario = scenario
         self.resolution = float(resolution)
         self.margin = float(margin)

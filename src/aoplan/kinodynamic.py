@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AuditError, UsageError
 from .geometry import Scenario
-from .geometric import PlanResult, SearchTree, _Run
+from .geometric import PlanResult, SearchTree, _Run, _checkpoint_stat, _whole
 from .nn import distance, row_distances
 
 
@@ -48,7 +48,7 @@ class DynamicalSystem:
         t_min, t_max = self.duration_bounds
         if not 0.0 < t_min <= t_max:
             raise UsageError("duration bounds must satisfy 0 < t_min <= t_max")
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise UsageError("integration step must be > 0")
 
     def propagate(self, state, control, duration: float):
@@ -263,15 +263,15 @@ def sst_plan(
     diag = scenario.diagonal
     delta_bn = 0.05 * diag if delta_bn is None else float(delta_bn)
     delta_s = 0.02 * diag if delta_s is None else float(delta_s)
-    if delta_bn <= 0.0 or delta_s <= 0.0:
+    if not (delta_bn > 0.0 and delta_s > 0.0):
         raise UsageError("delta_bn and delta_s must be > 0")
     if shrink is not None:
         xi, period = shrink
+        period = _whole(period)
         if not 0.0 < xi < 1.0:
             raise UsageError("shrink factor xi must lie in (0, 1)")
-        if int(period) < 1:
+        if period < 1:
             raise UsageError("shrink period must be >= 1")
-        period = int(period)
     run, tree, done = _kino_start(scenario, system, iterations, checkpoints, resolution)
     if done:
         return done
@@ -379,7 +379,7 @@ def ao_rrt_plan(
     rejected; every new solution lowers the bound and prunes nodes above
     it, so the stored tree always respects the bound.
     """
-    if cost_weight < 0.0:
+    if not cost_weight >= 0.0:
         raise UsageError("cost_weight must be >= 0")
     # generous duration-cost scale for unit-speed systems
     scale = 2.0 * scenario.diagonal
@@ -514,10 +514,8 @@ def ao_meta(
         bounds_hist.append(best)
         records.append((totals["samples"], best))
         last = out.checkpoint_stats[-1]
-        stats.append({
-            "n": totals["samples"], "cost": best, "nodes": last["nodes"], "edges": last["edges"],
-            "collision_checks": totals["collision_checks"], "work": sum(totals.values()),
-        })
+        stats.append(
+            _checkpoint_stat(totals["samples"], best, last["nodes"], last["edges"], totals))
 
     return PlanResult(
         path=best_sol,

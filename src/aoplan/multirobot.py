@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AuditError, SaturationError, UsageError
 from .geometric import PlanResult, SearchTree, _Run, _cheapest, prm_star
-from .geometry import Scenario, _composite_free, points_valid
+from .geometry import Scenario, _check_resolution, _composite_free, points_valid
 from .nn import distance, row_distances
 
 # a tensor vertex is one roadmap vertex id per robot
@@ -91,8 +91,7 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
         raise UsageError("composite configurations have different robot counts")
     if tuple(a.robot_radii) != tuple(b.robot_radii):
         raise UsageError("composite configurations have different robot radii")
-    if rho <= 0.0:
-        raise UsageError("resolution rho must be > 0")
+    _check_resolution(rho)
     pa, pb = ([p if type(p) is list else list(map(float, p)) for p in c.per_robot] for c in (a, b))
     if not pa or any(len(p) != scenario.dimension for p in pa + pb):
         raise UsageError(f"composite configurations need {scenario.dimension}-D positions")

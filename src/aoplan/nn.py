@@ -115,7 +115,7 @@ class NeighborIndex:
         """Points within distance r (closed ball): (ids, dists) arrays by ascending (dist, id)."""
         if self._size == 0:
             raise UsageError("index is empty")
-        if r <= 0.0:
+        if not r > 0.0:
             raise UsageError("radius must be > 0")
         q = np.asarray(q, dtype=float)
         dists = self._distances(q)
@@ -195,7 +195,7 @@ def radius_pairs(points, r: float):
     A pair is in the result exactly when `NeighborIndex.within_radius`
     from row i returns j.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise UsageError("radius must be > 0")
     points = np.asarray(points, dtype=float)
     src = [np.empty(0, dtype=np.int64)]

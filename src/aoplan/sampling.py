@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import SaturationError, UsageError
 from .geometry import Box, Scenario, _point_free
+from .nn import _root_sum_squares
 
 
 def first_primes(k: int) -> list:
@@ -103,6 +104,8 @@ class HaltonStream:
 
 
 def make_stream(dimension: int, sampler: str = "uniform", seed: int = 0):
+    if dimension < 1:
+        raise UsageError("stream dimension must be >= 1")
     if sampler == "uniform":
         return UniformStream(dimension, seed)
     if sampler == "halton":
@@ -144,7 +147,7 @@ def measure_dispersion(samples, domain: Box, grid_resolution: float) -> Dispersi
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.shape[0] == 0 or pts.shape[1] != domain.dimension:
         raise UsageError("measure_dispersion needs samples of the domain dimension")
-    if grid_resolution <= 0.0:
+    if not grid_resolution > 0.0:
         raise UsageError("grid_resolution must be > 0")
     axes = [
         np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / grid_resolution)) + 1))
@@ -153,12 +156,12 @@ def measure_dispersion(samples, domain: Box, grid_resolution: float) -> Dispersi
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     worst = 0.0
-    # chunk the grid so the pairwise distance block stays small
-    chunk = max(1, int(4_000_000 // max(1, pts.shape[0])))
+    # chunk the grid so each (chunk, n) distance block stays near 1e6 entries
+    chunk = max(1, 1_000_000 // pts.shape[0])
     for lo in range(0, grid.shape[0], chunk):
         block = grid[lo:lo + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
+        dists = _root_sum_squares(block[:, c, None] - pts[:, c] for c in range(pts.shape[1]))
+        worst = max(worst, float(dists.min(axis=1).max()))
     return DispersionReport(
         n=pts.shape[0], dispersion=worst, grid_resolution=float(grid_resolution)
     )

@@ -114,6 +114,19 @@ def test_bad_checkpoints_rejected():
         small_spec(trials=0)
 
 
+@pytest.mark.parametrize("checkpoints", [(100, 100, 200), (100.7, 200)],
+                         ids=["repeated", "fractional"])
+def test_repeated_and_fractional_checkpoints_are_usage_errors(checkpoints):
+    with pytest.raises(UsageError):
+        small_spec(checkpoints=checkpoints)
+    for planner, scene in [("prm-star", "empty_square.json"), ("rrt-star", "empty_square.json"),
+                           ("sst", "kino_square.json"), ("ao-meta", "kino_square.json"),
+                           ("drrt-star", "two_robot_swap.json")]:
+        with pytest.raises(UsageError):
+            run_planner(load_fixture_scenario(scene), planner, UntouchedStream(), 300, {},
+                        checkpoints=checkpoints)
+
+
 def test_time_budget_zero_marks_failures():
     rows = run_benchmark(small_spec(trials=1, time_budget=0.0))
     assert all(not r.success for r in rows)

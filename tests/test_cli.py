@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from aoplan import RadiusRule, connection_radius
+from aoplan import RadiusRule, connection_radius, load_scenario_file, make_stream, run_planner
 from aoplan.bench import CSV_FIELDS
 from aoplan.cli import main
 
@@ -26,6 +27,13 @@ def test_radius_prints_12_significant_digits(capsys):
     assert code == 0
     want = connection_radius(
         RadiusRule(rule="prm_star", d=2, mu=1.0, safety_factor=1.0), 1000)
+    assert out.strip() == f"{want:.12g}"
+    # options left unset take RadiusRule's defaults
+    code, out, _ = run_cli(capsys, "radius", "--rule", "rrt_star_revised", "--d", "2",
+                           "--mu", "1", "--n", "500", "--c-star", "1.5")
+    assert code == 0
+    want = connection_radius(
+        RadiusRule(rule="rrt_star_revised", d=2, mu=1.0, c_star_estimate=1.5), 500)
     assert out.strip() == f"{want:.12g}"
 
 
@@ -107,7 +115,7 @@ def test_plan_no_path_exits_1(capsys, tmp_path):
 def test_plan_kinodynamic_document_has_controls(capsys, tmp_path):
     out_path = tmp_path / "traj.json"
     code, _, _ = run_cli(capsys, "plan", "--scenario", KINO, "--planner", "sst",
-                         "--n", "6000", "--seed", "2", "--system", "integrator2d",
+                         "--n", "6000", "--seed", "2", "--param", "system=integrator2d",
                          "--out", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text())
@@ -120,7 +128,7 @@ def test_plan_multirobot_document(capsys, tmp_path):
     out_path = tmp_path / "multi.json"
     code, _, _ = run_cli(capsys, "plan", "--scenario", SWAP, "--planner",
                          "drrt-star", "--n", "4000", "--seed", "42",
-                         "--n-roadmap", "200", "--out", str(out_path))
+                         "--param", "n_roadmap=200", "--out", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text())
     tracks = doc["per_robot_waypoints"]
@@ -130,11 +138,11 @@ def test_plan_multirobot_document(capsys, tmp_path):
 
 def test_plan_multirobot_honours_goal_bias(capsys):
     argv = ("plan", "--scenario", SWAP, "--planner", "drrt-star", "--n", "1500",
-            "--n-roadmap", "150", "--seed", "3")
-    code, out, _ = run_cli(capsys, *argv, "--goal-bias", "1.0")
+            "--param", "n_roadmap=150", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv, "--param", "goal_bias=1.0")
     assert code == 0
     assert repr(json.loads(out)["cost"]) == "1.6741808632805153"
-    code, _, err = run_cli(capsys, *argv, "--goal-bias", "0.0")
+    code, _, err = run_cli(capsys, *argv, "--param", "goal_bias=0.0")
     assert code == 1
     assert "no path" in err
 
@@ -225,6 +233,68 @@ def test_benchmark_param_of_the_wrong_type_is_usage_error(capsys, tmp_path, plan
 
 def test_plan_shrink_without_period_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "plan", "--scenario", KINO, "--planner", "sst",
-                           "--n", "100", "--shrink", "0.5")
+                           "--n", "100", "--param", "shrink=0.5")
     assert code == 2
     assert "shrink" in err
+
+
+@pytest.mark.parametrize("planner,scenario,n,params", [
+    ("prm-star", EMPTY, 300, {"radius_rule": "fmt_star_constant", "safety_factor": 1.5}),
+    ("k-prm-star", EMPTY, 300, {"resolution": 0.01}),
+    ("rrt", EMPTY, 400, {"eta": 0.2, "goal_bias": 0.1}),
+    ("rrt-star", BOX, 600, {"eta_max": 0.3, "audit_every": 100}),
+    ("sst", KINO, 3000, {"delta_bn": 0.1, "shrink": "0.9:500"}),
+    ("ao-rrt", KINO, 3000, {"cost_weight": 0.5}),
+    ("ao-meta", KINO, 3000, {}),
+    ("ao-meta", KINO, 3000, {"rounds": 2, "beta": 0.2}),
+    ("drrt-star", SWAP, 1500, {"n_roadmap": 150, "goal_bias": 1.0}),
+], ids=["prm-star", "k-prm-star", "rrt", "rrt-star", "sst", "ao-rrt", "ao-meta",
+        "ao-meta-rounds", "drrt-star"])
+def test_plan_is_run_planner_with_the_same_n_and_params(capsys, planner, scenario, n, params):
+    argv = ["plan", "--scenario", scenario, "--planner", planner, "--n", str(n), "--seed", "4"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    sc = load_scenario_file(scenario)
+    want = run_planner(sc, planner, make_stream(sc.dimension, "uniform", 4), n, params)
+    assert repr(doc["cost"]) == repr(want.best_cost)
+    assert doc["counters"] == want.counters
+
+
+def test_plan_takes_no_planner_parameter_flag(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--help")
+    assert code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", out))
+    assert flags == {"--help", "--scenario", "--planner", "--n", "--seed", "--sampler",
+                     "--param", "--out"}
+    code, _, err = run_cli(capsys, "plan", "--scenario", EMPTY, "--planner", "prm-star",
+                           "--n", "300", "--param", "n=100")
+    assert code == 2
+    assert "--n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("benchmark", "--scenario", BOX, "--planner", "prm-star", "--trials", "1",
+     "--checkpoints", "300", "--param", "resolution=nan"),
+    ("benchmark", "--scenario", BOX, "--planner", "prm-star", "--trials", "1",
+     "--checkpoints", "300", "--param", "resolution=inf"),
+    ("radius", "--rule", "fixed", "--d", "2", "--mu", "1", "--n", "100",
+     "--fixed-radius", "nan"),
+], ids=["resolution-nan", "resolution-inf", "fixed-radius-nan"])
+def test_nan_and_inf_values_exit_2(capsys, tmp_path, argv):
+    out = tmp_path / "x.csv"
+    if argv[0] == "benchmark":
+        argv += ("--out", str(out))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_dispersion_dimension_below_one_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "dispersion", "--sampler", "uniform", "--d", "0",
+                           "--n", "16")
+    assert code == 2
+    assert "dimension" in err

@@ -507,18 +507,6 @@ def test_expansion_near_ties(p1, p2, want):
     assert _expand_candidate(tree, q) == (0, (want,))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_vecdot_matches_one_d_norm_bit_for_bit(d):
-    # both go through the CPU-selected BLAS dot kernel, which is why
-    # src/aoplan takes neither: see test_nn's kernel rule
-    rng = np.random.default_rng(d)
-    rows = rng.random((20000, d)) - rng.random((20000, d))
-    slow = np.array([np.linalg.norm(row) for row in rows])
-    assert np.array_equal(np.sqrt(np.vecdot(rows, rows)), slow)
-    stacked = rows.reshape(-1, 2, d)
-    assert np.array_equal(np.sqrt(np.vecdot(stacked, stacked)).ravel(), slow)
-
-
 # --- per-robot roadmaps ------------------------------------------------------
 
 

@@ -203,6 +203,11 @@ def _banned(name: str) -> bool:
             or name in ("math.hypot", "math.dist"))
 
 
+def _squared(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
 def _dotted(node) -> str:
     if isinstance(node, ast.Name):
         return node.id
@@ -212,8 +217,9 @@ def _dotted(node) -> str:
 
 
 def other_length_kernels(source: str, matmul_in=()) -> list:
-    """Code lines that take np.linalg.norm, vecdot, einsum, a dot, math.hypot or math.dist,
-    or an @ outside the classes named in matmul_in; comments and docstrings are not code."""
+    """Code lines that take np.linalg.norm, vecdot, einsum, a dot, math.hypot, math.dist or
+    a sum of `** 2` squares, or an @ outside the classes named in matmul_in; comments and
+    docstrings are not code."""
     tree = ast.parse(source)
     allowed = {id(node) for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) and cls.name in matmul_in
@@ -226,6 +232,9 @@ def other_length_kernels(source: str, matmul_in=()) -> list:
             hit = _banned(_dotted(node))
         elif isinstance(node, ast.ImportFrom):
             hit = any(_banned(f"{node.module}.{alias.name}") for alias in node.names)
+        elif isinstance(node, ast.Call) and _dotted(node.func).endswith("sum"):
+            # (x ** 2).sum(...), np.sum(x ** 2) or sum(x ** 2)
+            hit = any(map(_squared, [getattr(node.func, "value", None), *node.args]))
         else:
             hit = False
         if hit:
@@ -242,9 +251,10 @@ def test_every_length_in_the_package_takes_the_kernel():
     assert other_length_kernels('"""np.linalg.norm(x), x @ y"""\n# np.dot(x, y)\n') == []
     code = ("n = np.linalg.norm(x)\nv = np.vecdot(x, x)\ne = np.einsum('i,i', x, x)\n"
             "d = x.dot(y)\nh = math.hypot(1, 2)\nfrom math import dist\n"
-            "@dataclass\nclass _Grid:\n    k = x @ y\n")
-    assert other_length_kernels(code) == [1, 2, 3, 4, 5, 6, 9]
-    assert other_length_kernels(code, ("_Grid",)) == [1, 2, 3, 4, 5, 6]
+            "@dataclass\nclass _Grid:\n    k = x @ y\n"
+            "s = ((x - y) ** 2).sum(axis=1)\nt = np.sum(x ** 2)\nu = x ** 2 + y.sum()\n")
+    assert other_length_kernels(code) == [1, 2, 3, 4, 5, 6, 9, 10, 11]
+    assert other_length_kernels(code, ("_Grid",)) == [1, 2, 3, 4, 5, 6, 10, 11]
 
 
 # --- batch sweeps against the index ------------------------------------------

@@ -5,14 +5,34 @@ import numpy as np
 import pytest
 
 from aoplan import (
+    CollisionChecker,
+    CompositeConfig,
+    NeighborIndex,
     RadiusRule,
+    UniformStream,
     UsageError,
+    ao_rrt_plan,
+    composite_edge_valid,
     connection_radius,
+    edge_valid,
     k_connection,
+    make_path,
+    measure_dispersion,
+    path_clearance,
+    radius_pairs,
+    refine_path,
     rgg_connectivity_radius,
+    rrt,
+    rrt_star,
+    run_planner,
+    segments_valid,
+    single_integrator_2d,
+    sst_plan,
     steer,
     unit_ball_volume,
 )
+
+from conftest import load_fixture_scenario
 
 mp.mp.dps = 50
 
@@ -209,3 +229,60 @@ def test_steer_degenerate():
 def test_steer_bad_eta():
     with pytest.raises(UsageError):
         steer((0, 0), (1, 0), 0.0)
+
+
+# --- nan, inf and fractional values -----------------------------------------
+
+BOX = load_fixture_scenario("box_square.json")
+EMPTY = load_fixture_scenario("empty_square.json")
+KINO = load_fixture_scenario("kino_square.json")
+SWAP = load_fixture_scenario("two_robot_swap.json")
+A, B = np.array([[0.1, 0.1]]), np.array([[0.9, 0.9]])
+PAIR = [CompositeConfig(per_robot=(p, q), robot_radii=(0.05, 0.05))
+        for p, q in (((0.1, 0.5), (0.9, 0.5)), ((0.2, 0.5), (0.8, 0.5)))]
+INDEX = NeighborIndex(2)
+INDEX.insert(0, (0.5, 0.5))
+
+
+def _kino(planner, **kw):
+    return lambda: planner(KINO, single_integrator_2d(), UniformStream(2, 1), 100, **kw)
+
+
+BAD_VALUES = {
+    "segments_valid-nan": lambda: segments_valid(BOX, A, B, math.nan),
+    "segments_valid-inf": lambda: segments_valid(BOX, A, B, math.inf),
+    "edge_valid-nan": lambda: edge_valid(BOX, A[0], B[0], math.nan),
+    "edge_valid-inf": lambda: edge_valid(BOX, A[0], B[0], math.inf),
+    "path_clearance-nan": lambda: path_clearance(BOX, make_path([A[0], B[0]]), math.nan),
+    "path_clearance-inf": lambda: path_clearance(BOX, make_path([A[0], B[0]]), math.inf),
+    "checker-nan": lambda: CollisionChecker(BOX, math.nan),
+    "checker-inf": lambda: CollisionChecker(BOX, math.inf),
+    "composite-nan": lambda: composite_edge_valid(SWAP, *PAIR, math.nan),
+    "composite-inf": lambda: composite_edge_valid(SWAP, *PAIR, math.inf),
+    "run_planner-resolution-inf": lambda: run_planner(
+        BOX, "prm-star", UniformStream(2, 1), 300, {"resolution": math.inf}),
+    "steer-eta": lambda: steer((0, 0), (1, 0), math.nan),
+    "rrt-eta": lambda: rrt(EMPTY, UniformStream(2, 1), 100, math.nan),
+    "rrt_star-eta_max": lambda: rrt_star(EMPTY, UniformStream(2, 1), 100, 0.1,
+                                         eta_max=math.nan),
+    "sst-delta_bn": _kino(sst_plan, delta_bn=math.nan),
+    "sst-delta_s": _kino(sst_plan, delta_s=math.nan),
+    "sst-shrink-period": _kino(sst_plan, shrink=(0.5, 2.5)),
+    "ao_rrt-cost_weight": _kino(ao_rrt_plan, cost_weight=math.nan),
+    "rule-mu": lambda: rule("prm_star", mu=math.nan),
+    "rule-safety": lambda: rule("prm_star", safety_factor=math.nan),
+    "rule-gamma_det": lambda: rule("prm_star", gamma_det=math.nan),
+    "rule-c_star": lambda: rule("rrt_star_revised", c_star_estimate=math.nan),
+    "rule-fixed_radius": lambda: rule("fixed", fixed_radius=math.nan),
+    "refine_path": lambda: refine_path(make_path([A[0], B[0]]), math.nan),
+    "dispersion-grid": lambda: measure_dispersion(A, BOX.domain, math.nan),
+    "within_radius": lambda: INDEX.within_radius((0.5, 0.5), math.nan),
+    "radius_pairs": lambda: radius_pairs(A, math.nan),
+    "system-step": lambda: single_integrator_2d(step=math.nan),
+}
+
+
+@pytest.mark.parametrize("call", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_nan_inf_and_fractional_values_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        call()
