@@ -50,6 +50,8 @@ class RunSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        if self.time_budget is not None and not self.time_budget >= 0.0:
+            raise UsageError("time_budget must be >= 0")
         object.__setattr__(self, "checkpoints", tuple(_checkpoint_list(self.checkpoints)))
 
 

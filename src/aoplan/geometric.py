@@ -24,17 +24,11 @@ from .geometry import (
     Scenario,
     as_config,
 )
-from .nn import NeighborIndex, _pair_distances, distance, knn_lists, radius_pairs, row_distances
+from .nn import (NeighborIndex, _pair_distances, distance, knn_lists, radius_pairs,
+                 row_distances, unit_ball_volume)
 from .sampling import sample_free
 
 RADIUS_RULES = ("prm_star", "fmt_star_constant", "rrt_star_revised", "k_prm_star", "fixed")
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the Euclidean unit ball in d dimensions."""
-    if d < 1:
-        raise UsageError("dimension must be >= 1")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 @dataclass(frozen=True)

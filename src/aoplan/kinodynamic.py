@@ -379,8 +379,8 @@ def ao_rrt_plan(
     rejected; every new solution lowers the bound and prunes nodes above
     it, so the stored tree always respects the bound.
     """
-    if not cost_weight >= 0.0:
-        raise UsageError("cost_weight must be >= 0")
+    if not 0.0 <= cost_weight < math.inf:
+        raise UsageError("cost_weight must be finite and >= 0")
     # generous duration-cost scale for unit-speed systems
     scale = 2.0 * scenario.diagonal
     if initial_bound is not None and not initial_bound > 0.0:

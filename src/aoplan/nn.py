@@ -1,26 +1,19 @@
 """Exact nearest-neighbor search, and the one Euclidean length kernel.
 
-Every float length in aoplan comes from one kernel: it squares the
-differences one coordinate at a time and sums them left to right,
-`(p0 - q0)**2 + (p1 - q1)**2 + ...`, then takes the square root.  Arrays
-take `row_distances(points, q)` (or `_pair_distances` for row pairs), a
-single pair of points takes `distance(p, q)` on Python floats.  Each is a
-chain of elementwise IEEE operations, so a length rounds alike in every
-form, whatever the memory layout and whichever BLAS or SIMD kernels the
-CPU selects.  `geometry._rowdot` sums in the same order.
+Every float length in aoplan comes from one kernel, which squares the
+differences one coordinate at a time, sums them left to right and takes
+the square root: `row_distances(points, q)` for arrays (`_pair_distances`
+for row pairs), `distance(p, q)` for two points of Python floats.  As
+chains of elementwise IEEE operations (`geometry._rowdot` sums alike), all
+round alike in every memory layout and on every BLAS or SIMD kernel.
 
-`NeighborIndex` is an incremental index backed by a contiguous
-grow-on-demand numpy buffer and scanned with the kernel, so query results
-are the linear-scan answer by construction.  Ties are broken by lower id.
-Single writer; planners own their index exclusively.
-
-`radius_pairs` and `knn_lists` answer the same queries for every point of a
-fixed set at once, by one sweep over a uniform grid.  They compute each
-candidate distance with the kernel's summation order, so their answers equal
-the index's, ties and duplicate points included.  `knn_lists` ranks each
-row's candidates by a key `local * m + rank`, where rank is a candidate's
-place in one argsort of the distances, and falls back to a (row, distance,
-id) lexsort only where equal distances come out of id order.
+`NeighborIndex` scans its points with the kernel, so its answers are the
+linear-scan answers by construction.  A point's id is its insert position,
+and queries return (ids, dists) arrays in (distance, id) order.  Single
+writer; planners own their index exclusively.  `radius_pairs` and
+`knn_lists` answer the same queries for every point of a fixed set at once,
+by one sweep over a uniform grid in the kernel's summation order, so their
+answers equal the index's, ties and duplicate points included.
 """
 
 from __future__ import annotations
@@ -58,77 +51,78 @@ def distance(p, q) -> float:
     return math.sqrt(acc)
 
 
+def unit_ball_volume(d: int) -> float:
+    """Volume of the Euclidean unit ball in d dimensions."""
+    if d < 1:
+        raise UsageError("dimension must be >= 1")
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
 class NeighborIndex:
+    """Exact linear-scan index in which a point's id is its insert position.
+
+    Points are the columns of one (d, capacity) array, doubled when full.
+    Queries return (ids, dists) arrays in (distance, id) order.
+    """
+
     def __init__(self, dimension: int, capacity: int = 64):
         if dimension < 1:
             raise UsageError("dimension must be >= 1")
         self.dimension = int(dimension)
-        self._points = np.empty((max(1, capacity), dimension), dtype=float)
-        self._ids = np.empty(max(1, capacity), dtype=np.int64)
+        self._points = np.empty((self.dimension, max(1, capacity)))
         self._size = 0
-        self._known = set()
 
     def __len__(self) -> int:
         return self._size
 
     def insert(self, id: int, q) -> None:
-        if id in self._known:
-            raise UsageError(f"duplicate id {id}")
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dimension,):
+        """Store q as point `id`, which must be the next position, len(self)."""
+        if id != self._size:
+            raise UsageError(f"id {id} is not the next position {self._size}")
+        if np.shape(q) != (self.dimension,):
             raise UsageError("point dimension mismatch")
-        if self._size == self._points.shape[0]:
-            self._points = np.vstack([self._points, np.empty_like(self._points)])
-            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
-        self._points[self._size] = q
-        self._ids[self._size] = id
+        if self._size == self._points.shape[1]:
+            self._points = np.concatenate([self._points, np.empty_like(self._points)], axis=1)
+        self._points[:, self._size] = q
         self._size += 1
-        self._known.add(id)
 
-    def _distances(self, q: np.ndarray) -> np.ndarray:
-        return row_distances(self._points[: self._size], q)
-
-    def k_nearest(self, q, k: int):
-        """The min(k, size) closest points as (id, distance), ascending."""
+    def _distances(self, q) -> np.ndarray:
         if self._size == 0:
             raise UsageError("index is empty")
-        if k < 1:
-            raise UsageError("k must be >= 1")
-        q = np.asarray(q, dtype=float)
-        dists = self._distances(q)
-        ids = self._ids[: self._size]
-        k = min(k, self._size)
-        if k == 1:
-            best = dists.min()
-            cand = np.nonzero(dists == best)[0]
-            i = cand[np.argmin(ids[cand])]
-            return [(int(ids[i]), float(dists[i]))]
-        kth = np.partition(dists, k - 1)[k - 1]
-        cand = np.nonzero(dists <= kth)[0]
-        order = cand[np.lexsort((ids[cand], dists[cand]))][:k]
-        return [(int(ids[i]), float(dists[i])) for i in order]
+        return row_distances(self._points[:, : self._size].T, np.asarray(q, dtype=float))
+
+    @staticmethod
+    def _closed_ball(dists, r):
+        """Ids with dists <= r in (distance, id) order: the stable sort keeps ascending ids."""
+        ids = np.nonzero(dists <= r)[0]
+        ids = ids[np.argsort(dists[ids], kind="stable")]
+        return ids, dists[ids]
 
     def nearest_id(self, q) -> int:
-        return self.k_nearest(q, 1)[0][0]
+        """The closest point's id; argmin's first minimum is the lowest tied id."""
+        return int(np.argmin(self._distances(q)))
+
+    def k_nearest(self, q, k: int):
+        """The min(k, size) closest points as (ids, dists) arrays."""
+        if k < 1:
+            raise UsageError("k must be >= 1")
+        dists = self._distances(q)
+        k = min(k, self._size)
+        ids, dists = self._closed_ball(dists, np.partition(dists, k - 1)[k - 1])
+        return ids[:k], dists[:k]
 
     def within_radius(self, q, r: float):
-        """Points within distance r (closed ball): (ids, dists) arrays by ascending (dist, id)."""
-        if self._size == 0:
-            raise UsageError("index is empty")
+        """Points within distance r (closed ball) as (ids, dists) arrays."""
         if not r > 0.0:
             raise UsageError("radius must be > 0")
-        q = np.asarray(q, dtype=float)
-        dists = self._distances(q)
-        ids = self._ids[: self._size]
-        cand = np.nonzero(dists <= r)[0]
-        order = cand[np.lexsort((ids[cand], dists[cand]))]
-        return ids[order], dists[order]
+        return self._closed_ball(self._distances(q), r)
 
 
 _SLACK = 1e-9  # relative widening of a grid cell beyond the search radius
 _GRID_AXES = 4  # the grid spans at most this many of the widest axes
 _ROWS = 2048  # query rows whose candidate ranges are looked up at once
 _PAIRS = 1 << 18  # candidate pairs expanded at once, bounding memory
+_NO_IDS = np.empty(0, dtype=np.int64)  # seeds each concatenation of id arrays
 
 
 def _pair_distances(points, i, j):
@@ -141,11 +135,10 @@ class _Grid:
 
     Two points within distance `side` of each other lie in the same or in
     adjacent cells on every grid axis: the cell is widened by _SLACK and by
-    a few ulps of the widest span, which covers the rounding of
-    `(p - lo) / cell`.  A cell has an int64 key in mixed radix; each
-    coordinate is shifted by one so that the neighbouring cells of the
-    outermost ones have keys too.  The cell is also never smaller than
-    span / (2**(60/g) - 3), so every key is below 2**60.
+    a few ulps of the widest span, which covers the rounding of `(p - lo) /
+    cell`.  A cell has an int64 key in mixed radix; each coordinate is
+    shifted by one so that the outermost cells' neighbours have keys too.
+    The cell is never below span / (2**(60/g) - 3), so keys stay below 2**60.
     """
 
     def __init__(self, points, side):
@@ -170,8 +163,7 @@ class _Grid:
     def candidates(self, rows):
         """Yield (part, local, dst): every point dst in the 3^g cells around row part[local].
 
-        `rows` is split into parts of at most _PAIRS candidates (at least
-        one row each); `local` ascends within a part.
+        Parts hold at most _PAIRS candidates (at least one row each); `local` ascends.
         """
         for start in range(0, rows.shape[0], _ROWS):
             block = rows[start:start + _ROWS]
@@ -198,8 +190,7 @@ def radius_pairs(points, r: float):
     if not r > 0.0:
         raise UsageError("radius must be > 0")
     points = np.asarray(points, dtype=float)
-    src = [np.empty(0, dtype=np.int64)]
-    dst = [np.empty(0, dtype=np.int64)]
+    src, dst = [_NO_IDS], [_NO_IDS]
     if points.shape[0]:
         for part, local, j in _Grid(points, r).candidates(np.arange(points.shape[0])):
             i = part[local]
@@ -214,21 +205,18 @@ def radius_pairs(points, r: float):
 def knn_lists(points, k: int):
     """Each row's min(k, n - 1) nearest other rows, as flat (src, dst) id arrays.
 
-    src ascends, and each row's neighbours follow in (distance, id) order:
-    row i's list is `[u for u, _ in index.k_nearest(points[i], k + 1) if
-    u != i][:k]` for a `NeighborIndex` over all rows.  The search starts
-    from the radius at which about 1.5(k + 1) points are expected in the
-    ball.  A row is settled once min(k + 1, n) points lie within the
-    radius, since then no point outside its cells can rank; the unsettled
-    rows search again at twice the radius.
+    src ascends, and row i's neighbours follow in (distance, id) order, as
+    `[u for u in index.k_nearest(points[i], k + 1)[0] if u != i][:k]` for
+    a `NeighborIndex` over all rows.  The search starts from the radius at
+    which about 1.5(k + 1) points are expected in the ball.  A row is
+    settled once min(k + 1, n) points lie within the radius, since then no
+    point outside its cells can rank; unsettled rows retry at twice it.
 
-    The m candidates of a part of the sweep are ordered by one argsort of
-    the distinct int64 keys `local * m + rank`: local is the row's place in
-    the part and rank the candidate's place in one float argsort of the
-    distances.  That argsort ranks equal distances in no set order, so if
-    two neighbours of a row at equal distance come out of id order, the
-    part is re-sorted by the three-key lexsort (local, distance, id)
-    instead; this happens on lattices and duplicate points.
+    The m candidates of a part are ordered by one argsort of the int64 keys
+    `local * m + rank` (local: the row's place in the part; rank: the
+    candidate's place in one float argsort of the distances), or by (local,
+    distance, id) where equal distances come out of id order (lattices,
+    duplicate points).
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -236,10 +224,8 @@ def knn_lists(points, k: int):
     n, d = points.shape
     need = min(k + 1, n)
     widest = float(np.ptp(points, axis=0).max()) if n else 0.0
-    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    side = widest * (1.5 * (k + 1) / (max(n, 1) * ball)) ** (1.0 / d) or 1.0
-    src = [np.empty(0, dtype=np.int64)]
-    dst = [np.empty(0, dtype=np.int64)]
+    side = widest * (1.5 * (k + 1) / (max(n, 1) * unit_ball_volume(d))) ** (1.0 / d) or 1.0
+    src, dst = [_NO_IDS], [_NO_IDS]
     pending = np.arange(n)
     while pending.shape[0]:
         grid = _Grid(points, side)
@@ -258,7 +244,6 @@ def knn_lists(points, k: int):
             order = np.argsort(local * m + rank)
             local, j, dist = local[order], j[order], dist[order]
             if np.any((local[1:] == local[:-1]) & (dist[1:] == dist[:-1]) & (j[1:] < j[:-1])):
-                # equal distances ranked out of id order (lattices, duplicates)
                 order = np.lexsort((j, dist, local))
                 local, j = local[order], j[order]
             keep = np.arange(local.shape[0]) - np.searchsorted(local, local) < k

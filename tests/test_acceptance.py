@@ -198,7 +198,7 @@ def test_criterion_3_nn_oracle_equivalence():
     for q in rng.random((100, 2)):
         ranked = scored(tuple(q))
         for k in (1, 8, 32):
-            if [i for i, _ in idx.k_nearest(q, k)] != oracle(ranked, k=k):
+            if idx.k_nearest(q, k)[0].tolist() != oracle(ranked, k=k):
                 mismatches += 1
         for r in (0.05, 0.2):
             if idx.within_radius(q, r)[0].tolist() != oracle(ranked, radius=r):

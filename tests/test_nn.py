@@ -13,10 +13,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "aoplan"
 
 
 def linear_scan(points, q, k=None, radius=None):
-    """Independent reference: python arithmetic, sort by (distance, id)."""
+    """Independent reference: python arithmetic, sort by (distance, id).
+
+    Squares are products: CPython's `x ** 2` calls pow, which can round
+    differently from `x * x`.
+    """
     scored = []
     for pid, p in points:
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+        d = math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
         scored.append((d, pid))
     scored.sort()
     if radius is not None:
@@ -26,18 +30,21 @@ def linear_scan(points, q, k=None, radius=None):
 
 def test_insert_then_query_self():
     idx = NeighborIndex(2)
-    idx.insert(7, (0.25, 0.5))
-    assert idx.k_nearest((0.25, 0.5), 1) == [(7, 0.0)]
+    idx.insert(0, (0.0, 0.0))
+    idx.insert(1, (0.25, 0.5))
+    ids, dists = idx.k_nearest((0.25, 0.5), 1)
+    assert ids.tolist() == [1] and dists.tolist() == [0.0]
+    assert idx.nearest_id((0.25, 0.5)) == 1
 
 
 def test_two_inserts_sorted_by_distance():
     idx = NeighborIndex(2)
     idx.insert(0, (0.0, 0.0))
     idx.insert(1, (1.0, 0.0))
-    got = idx.k_nearest((0.9, 0.0), 2)
-    assert [i for i, _ in got] == [1, 0]
-    assert got[0][1] == pytest.approx(0.1)
-    assert got[1][1] == pytest.approx(0.9)
+    ids, dists = idx.k_nearest((0.9, 0.0), 2)
+    assert ids.tolist() == [1, 0]
+    assert dists[0] == pytest.approx(0.1)
+    assert dists[1] == pytest.approx(0.9)
 
 
 def test_duplicate_id_rejected():
@@ -47,19 +54,30 @@ def test_duplicate_id_rejected():
         idx.insert(0, (1.0, 1.0))
 
 
+def test_insert_must_take_the_next_position():
+    idx = NeighborIndex(2)
+    with pytest.raises(UsageError):
+        idx.insert(3, (0.0, 0.0))
+    idx.insert(0, (0.0, 0.0))
+    with pytest.raises(UsageError):
+        idx.insert(2, (1.0, 1.0))
+    assert len(idx) == 1
+
+
 def test_k_larger_than_size_returns_all():
     idx = NeighborIndex(1)
     for i, x in enumerate([0.1, 0.2, 0.3]):
         idx.insert(i, (x,))
-    assert len(idx.k_nearest((0.0,), 10)) == 3
+    ids, dists = idx.k_nearest((0.0,), 10)
+    assert ids.tolist() == [0, 1, 2] and len(dists) == 3
 
 
 def test_three_point_example():
     idx = NeighborIndex(2)
     for i, p in enumerate([(0, 0), (1, 0), (2, 0)]):
         idx.insert(i, p)
-    got = idx.k_nearest((0.9, 0), 2)
-    assert [i for i, _ in got] == [1, 0]
+    ids, _ = idx.k_nearest((0.9, 0), 2)
+    assert ids.tolist() == [1, 0]
 
 
 def test_within_radius_closed_ball():
@@ -83,14 +101,15 @@ def test_empty_index_and_bad_radius():
 
 
 def test_tie_break_by_lower_id():
+    # ids 0, 2 and 3 tie at distance 1 around the nearer id 1
     idx = NeighborIndex(2)
-    idx.insert(5, (1.0, 0.0))
-    idx.insert(2, (1.0, 0.0))
-    idx.insert(9, (1.0, 0.0))
-    got = idx.k_nearest((0.0, 0.0), 3)
-    assert [i for i, _ in got] == [2, 5, 9]
+    for i, p in enumerate([(1.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0)]):
+        idx.insert(i, p)
+    ids, dists = idx.k_nearest((0.0, 0.0), 3)
+    assert ids.tolist() == [1, 0, 2] and dists.tolist() == [0.5, 1.0, 1.0]
     got_r, _ = idx.within_radius((0.0, 0.0), 2.0)
-    assert got_r.tolist() == [2, 5, 9]
+    assert got_r.tolist() == [1, 0, 2, 3]
+    assert idx.nearest_id((1.0, 0.0)) == 0
 
 
 def test_matches_linear_scan_on_random_points():
@@ -104,9 +123,9 @@ def test_matches_linear_scan_on_random_points():
     queries = rng.random((100, 2))
     for q in queries:
         for k in (1, 8, 32):
-            got = idx.k_nearest(q, k)
+            got, _ = idx.k_nearest(q, k)
             want = linear_scan(items, tuple(q), k=k)
-            assert [i for i, _ in got] == [i for i, _ in want]
+            assert got.tolist() == [i for i, _ in want]
         for r in (0.05, 0.2):
             got, _ = idx.within_radius(q, r)
             want = linear_scan(items, tuple(q), radius=r)
@@ -123,17 +142,24 @@ def test_matches_linear_scan_on_random_points():
     r1=st.floats(0.01, 0.5),
     r2=st.floats(0.5, 2.0),
 )
+# 40 points on 3 sites, inserted in turn: an unstable argsort reorders the ties
+@example(pts=[((0.25, 0.25), (0.5, 0.5), (0.75, 0.75))[i % 3] for i in range(40)],
+         q=(0.0, 0.0), r1=0.4, r2=2.0)
 def test_radius_monotone_and_knn_permutation(pts, q, r1, r2):
     idx = NeighborIndex(2)
-    for i, p in enumerate(pts):
+    items = list(enumerate(pts))
+    for i, p in items:
         idx.insert(i, p)
     small = set(idx.within_radius(q, min(r1, r2))[0].tolist())
     large = set(idx.within_radius(q, max(r1, r2))[0].tolist())
     assert small <= large
-    allk = idx.k_nearest(q, len(pts))
-    assert sorted(i for i, _ in allk) == list(range(len(pts)))
-    dists = [d for _, d in allk]
-    assert dists == sorted(dists)
+    ids, dists = idx.k_nearest(q, len(pts))
+    assert sorted(ids.tolist()) == list(range(len(pts)))
+    assert dists.tolist() == sorted(dists.tolist())
+    assert list(zip(ids.tolist(), dists.tolist())) == linear_scan(items, q, k=len(pts))
+    for r in (r1, r2):
+        ids, dists = idx.within_radius(q, r)
+        assert list(zip(ids.tolist(), dists.tolist())) == linear_scan(items, q, radius=r)
 
 
 # --- the distance kernel -------------------------------------------------------
@@ -278,7 +304,7 @@ def index_knn_lists(points, k):
     """Oracle: each row's k-list as the roadmap planner built it from the index."""
     idx = _index_over(points)
     return [(v, u) for v, p in enumerate(points)
-            for u in [u for u, _ in idx.k_nearest(p, k + 1) if u != v][:k]]
+            for u in [u for u in idx.k_nearest(p, k + 1)[0].tolist() if u != v][:k]]
 
 
 def assert_sweeps_match_index(points, r, k):

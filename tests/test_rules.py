@@ -9,6 +9,7 @@ from aoplan import (
     CompositeConfig,
     NeighborIndex,
     RadiusRule,
+    RunSpec,
     UniformStream,
     UsageError,
     ao_rrt_plan,
@@ -269,6 +270,7 @@ BAD_VALUES = {
     "sst-delta_s": _kino(sst_plan, delta_s=math.nan),
     "sst-shrink-period": _kino(sst_plan, shrink=(0.5, 2.5)),
     "ao_rrt-cost_weight": _kino(ao_rrt_plan, cost_weight=math.nan),
+    "ao_rrt-cost_weight-inf": _kino(ao_rrt_plan, cost_weight=math.inf),
     "rule-mu": lambda: rule("prm_star", mu=math.nan),
     "rule-safety": lambda: rule("prm_star", safety_factor=math.nan),
     "rule-gamma_det": lambda: rule("prm_star", gamma_det=math.nan),
@@ -279,6 +281,10 @@ BAD_VALUES = {
     "within_radius": lambda: INDEX.within_radius((0.5, 0.5), math.nan),
     "radius_pairs": lambda: radius_pairs(A, math.nan),
     "system-step": lambda: single_integrator_2d(step=math.nan),
+    "time_budget-nan": lambda: RunSpec(
+        "scenarios/empty_square.json", "rrt-star", {}, 1, 0, (100,), time_budget=math.nan),
+    "time_budget-negative": lambda: RunSpec(
+        "scenarios/empty_square.json", "rrt-star", {}, 1, 0, (100,), time_budget=-1.0),
 }
 
 
