@@ -192,44 +192,48 @@ class Roadmap:
         return self.indices[lo:hi], self.weights[lo:hi]
 
 
-class SearchTree:
+class SearchTree(NeighborIndex):
     """Rooted tree with cached cost-from-start, shared by every tree planner.
 
-    Each node stores its configuration, parent, the length of the edge to
-    its parent (a duration in a kinodynamic tree), its cost, an active
-    flag, its children and a control of width control_dim (0 unless the
-    edges are propagated controls).  Stored costs always equal the
-    parent-chain sum: reparenting recomputes the whole moved subtree.
-    `alive` counts the nodes still attached to the root; it equals `size`
-    unless deactivate_and_prune dropped some.  Configurations are stored
-    column-major, one column per node, so a scan over one coordinate of
-    every node reads contiguous memory.
+    The tree is the NeighborIndex of its node configurations: node nid is
+    point nid, so the planners query the tree itself.  Each node also
+    stores its parent, the length of the edge to its parent (a duration in
+    a kinodynamic tree), its cost, an active flag, its children and a
+    control of width control_dim (0 unless the edges are propagated
+    controls).  Stored costs always equal the parent-chain sum: reparenting
+    recomputes the whole moved subtree.  `alive` counts the nodes still
+    attached to the root; it equals `size` unless deactivate_and_prune
+    dropped some.
     """
 
     def __init__(self, root_config: np.ndarray, capacity: int = 256, control_dim: int = 0):
-        self._configs = np.empty((root_config.shape[0], capacity))
+        super().__init__(root_config.shape[0], capacity)
         self.controls = np.zeros((capacity, control_dim))
         self.parent = np.full(capacity, -1, dtype=np.int64)
         self.edge_len = np.zeros(capacity)
         self.cost = np.zeros(capacity)
         self.active = np.zeros(capacity, dtype=bool)
         self.children = []
-        self.size = 0
         self.alive = 0
         # not self.add: a subclass add may take its own node payload
         SearchTree.add(self, root_config, -1, 0.0)
 
+    @property
+    def size(self) -> int:
+        return self._size
+
+    configs = NeighborIndex.points
+
     def _grow(self) -> None:
-        self._configs = np.concatenate([self._configs, np.zeros_like(self._configs)], axis=1)
         for name in ("controls", "parent", "edge_len", "cost", "active"):
             col = getattr(self, name)
             setattr(self, name, np.concatenate([col, np.zeros_like(col)]))
 
     def add(self, config, parent: int, edge_len: float, control=None) -> int:
-        if self.size == self.parent.shape[0]:
+        nid = self._size
+        if nid == self.parent.shape[0]:
             self._grow()
-        nid = self.size
-        self._configs[:, nid] = config
+        self.insert(nid, config)
         if control is not None:
             self.controls[nid] = control
         self.parent[nid] = parent
@@ -239,17 +243,11 @@ class SearchTree:
         self.children.append([])
         if parent >= 0:
             self.children[parent].append(nid)
-        self.size += 1
         self.alive += 1
         return nid
 
     def config(self, nid: int) -> np.ndarray:
-        return self._configs[:, nid]
-
-    @property
-    def configs(self) -> np.ndarray:
-        """(size, d) view of the stored configurations; fancy indexing copies C-ordered rows."""
-        return self._configs[:, : self.size].T
+        return self._points[:, nid]
 
     def reparent(self, nid: int, new_parent: int, new_edge_len: float) -> None:
         # a parent inside nid's own subtree would close a cycle
@@ -597,7 +595,7 @@ def prm_star(
 
 
 def _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution):
-    """Check the shared tree parameters: (run, rooted tree, its index, trivial result or None)."""
+    """Check the shared tree parameters: (run, rooted tree, trivial result or None)."""
     if n < 2:
         raise UsageError("n must be >= 2")
     if not eta > 0.0:
@@ -606,13 +604,10 @@ def _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution):
         raise UsageError("goal_bias must lie in [0, 1]")
     run = _Run(scenario, n, checkpoints, resolution)
     start, done = _kinematic_start(run, scenario.start, scenario.goal)
-    tree = SearchTree(start)
-    index = NeighborIndex(scenario.dimension)
-    index.insert(0, start)
-    return run, tree, index, done
+    return run, SearchTree(start), done
 
 
-def _extension(run, tree, index, stream, eta, goal_bias, max_attempts):
+def _extension(run, tree, stream, eta, goal_bias, max_attempts):
     """Draw a target (the goal centre at rate goal_bias) and steer from its nearest node.
 
     Counts the sample and the nearest query.  Returns (nearest id, new
@@ -624,7 +619,7 @@ def _extension(run, tree, index, stream, eta, goal_bias, max_attempts):
     else:
         target = sample_free(stream, run.scenario, max_attempts)
     run.nn_queries += 1
-    near = index.nearest_id(target)
+    near = tree.nearest_id(target)
     v = steer(tree.config(near), target, eta)
     return None if np.array_equal(v, tree.config(near)) else (near, v)
 
@@ -650,17 +645,16 @@ def rrt(
     max_attempts: int = 10_000,
 ) -> PlanResult:
     """Classic tree planner: the first goal-ball connection fixes the path."""
-    run, tree, index, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
+    run, tree, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
     if done:
         return done
     goal_nodes = []
     for it in range(1, n + 1):
-        step = _extension(run, tree, index, stream, eta, goal_bias, max_attempts)
+        step = _extension(run, tree, stream, eta, goal_bias, max_attempts)
         if step is not None:
             near, v = step
             if run.checker.edge_valid(tree.config(near), v):
                 vid = tree.add(v, near, distance(v.tolist(), tree.config(near).tolist()))
-                index.insert(vid, v)
                 if not goal_nodes and scenario.goal.contains(v):
                     goal_nodes.append(vid)
         run.tree_checkpoint(it, tree, goal_nodes)
@@ -701,7 +695,7 @@ def rrt_star(
     eta_max = 2.0 * eta if eta_max is None else float(eta_max)
     if not eta_max > 0.0:
         raise UsageError("eta_max must be > 0")
-    run, tree, index, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
+    run, tree, done = _tree_start(scenario, n, eta, goal_bias, checkpoints, resolution)
     if done:
         return done
     if rule.rule == "rrt_star_revised" and rule.c_star_estimate is None:
@@ -709,12 +703,12 @@ def rrt_star(
 
     goal_nodes = []
     for it in range(1, n + 1):
-        step = _extension(run, tree, index, stream, eta, goal_bias, max_attempts)
+        step = _extension(run, tree, stream, eta, goal_bias, max_attempts)
         if step is not None:
             v = step[1]
             r = min(connection_radius(rule, max(tree.size, 2)), eta_max)
             run.nn_queries += 1
-            ids, dists = index.within_radius(v, r)
+            ids, dists = tree.within_radius(v, r)
             # edge verdicts by position in the near set, shared with the rewire walk
             valid = {}
             pick = -1
@@ -730,7 +724,6 @@ def rrt_star(
                 through[j] = math.inf
             if pick >= 0:
                 vid = tree.add(v, int(ids[pick]), float(dists[pick]))
-                index.insert(vid, v)
                 if scenario.goal.contains(v):
                     if not goal_nodes and rule.rule == "rrt_star_revised":
                         rule = replace(rule, c_star_estimate=float(tree.cost[vid]))

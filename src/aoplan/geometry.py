@@ -58,9 +58,9 @@ class Box:
     def diagonal(self) -> float:
         return distance(*self._bounds)
 
-    def contains(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo + margin) & (pts <= self.hi - margin), axis=1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
     @cached_property
     def _bounds(self) -> tuple:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AuditError, UsageError
 from .geometry import Scenario
 from .geometric import PlanResult, SearchTree, _Run, _checkpoint_stat, _whole
-from .nn import distance, row_distances
+from .nn import NeighborIndex, distance, row_distances
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,8 @@ def kinematic_car(step: float = 0.02,
                   duration_bounds: tuple = (0.05, 0.3),
                   heading_weight: float = 0.5) -> DynamicalSystem:
     """Kinematic car (x, y, heading) with |v| <= 1 and |omega| <= 1."""
+    if not 0.0 <= heading_weight < math.inf:
+        raise UsageError("heading_weight must be finite and >= 0")
 
     def propagate(state, control, steps):
         v, omega = control
@@ -276,13 +278,11 @@ def sst_plan(
     if done:
         return done
 
-    wit_states = np.empty((256, system.state_dim))
-    wit_rep = np.empty(256, dtype=np.int64)
-    wit_radius = np.empty(256)
-    wit_states[0] = tree.config(0)
-    wit_rep[0] = 0
-    wit_radius[0] = delta_s
-    n_wit = 1
+    # witness w's state is point w; its representative node and radius
+    witnesses = NeighborIndex(system.state_dim)
+    witnesses.insert(0, tree.config(0))
+    wit_rep = [0]
+    wit_radius = [delta_s]
 
     best = None
     best_traj = None
@@ -304,19 +304,17 @@ def sst_plan(
         child = _extend(run, system, stream, tree, sel, lambda cost: True)
         if child is not None:
             new_state, control, duration, new_cost = child
-            wd = system.distances(wit_states[:n_wit], new_state)
+            # the system's metric, not the index's Euclidean scan
+            wd = system.distances(witnesses.points, new_state)
             w = int(np.argmin(wd))
             if wd[w] > delta_s:
-                if n_wit == wit_states.shape[0]:
-                    wit_states = np.vstack([wit_states, np.empty_like(wit_states)])
-                    wit_rep = np.concatenate([wit_rep, np.empty_like(wit_rep)])
-                    wit_radius = np.concatenate([wit_radius, np.empty_like(wit_radius)])
-                wit_states[n_wit] = new_state
-                w = n_wit
-                n_wit += 1
+                w = len(witnesses)
+                witnesses.insert(w, new_state)
+                wit_rep.append(-1)
+                wit_radius.append(delta_s)
                 accept = True
             else:
-                rep = int(wit_rep[w])
+                rep = wit_rep[w]
                 accept = new_cost < float(tree.cost[rep])
                 if accept:
                     tree.deactivate_and_prune(rep)
@@ -334,26 +332,24 @@ def sst_plan(
             delta_s *= xi
 
         if audit_every and it % audit_every == 0:
-            _sst_audit(tree, system, wit_states, wit_rep, wit_radius, n_wit)
+            _sst_audit(tree, system, witnesses, wit_rep, wit_radius)
         if it in run.due:
             run.record(it, best, tree.alive, max(0, tree.alive - 1))
 
     return run.result(best_traj, best)
 
 
-def _sst_audit(tree, system, wit_states, wit_rep, wit_radius, n_wit):
+def _sst_audit(tree, system, witnesses, wit_rep, wit_radius):
     """Witness exclusivity and membership, plus tree cost coherence."""
-    reps = wit_rep[:n_wit]
-    if len(set(reps.tolist())) != n_wit:
+    if len(set(wit_rep)) != len(wit_rep):
         raise AuditError("two witnesses share a representative")
     active_ids = set(np.nonzero(tree.active[: tree.size])[0].tolist())
-    if active_ids != set(int(r) for r in reps):
+    if active_ids != set(wit_rep):
         raise AuditError("active nodes and witness representatives differ")
-    for i in range(n_wit):
-        rep = int(reps[i])
+    for i, rep in enumerate(wit_rep):
         if not tree.active[rep]:
             raise AuditError(f"witness {i} has a dead representative")
-        d = float(system.distances(tree.config(rep), wit_states[i])[0])
+        d = float(system.distances(tree.config(rep), witnesses.points[i])[0])
         if d > wit_radius[i] + 1e-12:
             raise AuditError(f"representative strayed {d} from witness {i}")
     tree.audit_costs()

@@ -101,8 +101,10 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
 class _TensorTree(SearchTree):
     """Tree over discovered tensor vertices; never enumerates the product graph.
 
-    A node holds only its key, with a zero-width configuration; positions
-    come from the roadmaps, and the tree bookkeeping is SearchTree's.
+    A node's configuration is its key, one int64 roadmap vertex id per
+    robot, so column nid of the tree's store feeds the distance tables;
+    positions come from the roadmaps, and the tree bookkeeping is
+    SearchTree's.
     """
 
     def __init__(self, scenario, roadmaps, radii, rho, root_key):
@@ -112,10 +114,8 @@ class _TensorTree(SearchTree):
         self.rho = rho
         self.r = len(roadmaps)
         self.d = scenario.dimension
-        self.keys = []
-        self.key_to_id = {}
-        # column nid holds tree vertex nid's key, for the distance tables
-        self.key_rows = np.empty((self.r, 256), dtype=np.int64)
+        self.keys = [root_key]
+        self.key_to_id = {root_key: 0}
         # per robot: vertex -> closed_neighborhood(i, vertex)
         self.closed = [{} for _ in range(self.r)]
         # per robot: inf over its roadmap vertices between neighbour passes
@@ -124,33 +124,28 @@ class _TensorTree(SearchTree):
         self.edge_verdict = {}
         # per robot: its roadmap's positions as lists of floats, for composite()
         self.positions = [rm.vertices.tolist() for rm in roadmaps]
-        super().__init__(np.empty(0))
-        self._index(root_key, 0)
+        super().__init__(np.array(root_key, dtype=float))
+        # the store grows by empty_like, so int64 keys stay int64
+        self._points[:, 1:] = 0.0
+        self._points = self._points.astype(np.int64)
 
     def composite(self, key) -> CompositeConfig:
         return CompositeConfig(tuple(pos[v] for pos, v in zip(self.positions, key)), self.radii)
 
     def add(self, key, parent: int, edge_cost: float) -> int:
-        nid = super().add((), parent, edge_cost)
-        self._index(key, nid)
-        return nid
-
-    def _index(self, key, nid: int) -> None:
+        nid = super().add(key, parent, edge_cost)
         self.keys.append(key)
         self.key_to_id[key] = nid
-        if nid == self.key_rows.shape[1]:
-            self.key_rows = np.concatenate([self.key_rows, np.zeros_like(self.key_rows)], axis=1)
-        self.key_rows[:, nid] = key
+        return nid
 
     def distances(self, q_flat: np.ndarray) -> np.ndarray:
         """Summed per-robot Euclidean distance from q_flat to every tree vertex.
 
         One table per robot over its roadmap vertices, gathered through the
-        key rows and summed robot after robot.
+        tree's key columns and summed robot after robot.
         """
         dist = 0.0
-        cols = self.key_rows[:, : self.size]
-        for rm, col, q in zip(self.roadmaps, cols, q_flat.reshape(self.r, self.d)):
+        for rm, col, q in zip(self.roadmaps, self.configs.T, q_flat.reshape(self.r, self.d)):
             dist = dist + row_distances(rm.vertices, q)[col]
         return dist
 
@@ -177,8 +172,7 @@ class _TensorTree(SearchTree):
         every robot stands on key's vertex or a roadmap neighbour of it.
         """
         total = 0.0
-        cols = self.key_rows[:, : self.size]
-        for i, (table, col) in enumerate(zip(self.step_tables, cols)):
+        for i, (table, col) in enumerate(zip(self.step_tables, self.configs.T)):
             ids, _, steps = self.closed_neighborhood(i, key[i])
             table[ids] = steps
             total = total + table[col]
@@ -348,7 +342,7 @@ def drrt_star(
     if top is None:
         return run.result(None, None, roadmaps=roadmaps)
     best, node = top
-    # key row i along the path holds robot i's roadmap vertices
-    path_keys = tree.key_rows[:, tree.trace(node)]
+    # key column i along the path holds robot i's roadmap vertices
+    path_keys = tree.configs[tree.trace(node)].T
     per_robot = tuple(rm.vertices[col] for rm, col in zip(roadmaps, path_keys))
     return run.result(CompositePath(per_robot=per_robot, cost=best), best, roadmaps=roadmaps)

@@ -9,8 +9,10 @@ round alike in every memory layout and on every BLAS or SIMD kernel.
 
 `NeighborIndex` scans its points with the kernel, so its answers are the
 linear-scan answers by construction.  A point's id is its insert position,
-and queries return (ids, dists) arrays in (distance, id) order.  Single
-writer; planners own their index exclusively.  `radius_pairs` and
+and queries return (ids, dists) arrays in (distance, id) order.  It is
+also the one column store of every tree: `SearchTree` is a NeighborIndex
+whose points are its node configurations, so a tree answers its own
+queries and keeps no second copy.  Single writer.  `radius_pairs` and
 `knn_lists` answer the same queries for every point of a fixed set at once,
 by one sweep over a uniform grid in the kernel's summation order, so their
 answers equal the index's, ties and duplicate points included.
@@ -86,10 +88,15 @@ class NeighborIndex:
         self._points[:, self._size] = q
         self._size += 1
 
+    @property
+    def points(self) -> np.ndarray:
+        """(len, d) view of the stored points; fancy indexing copies C-ordered rows."""
+        return self._points[:, : self._size].T
+
     def _distances(self, q) -> np.ndarray:
         if self._size == 0:
             raise UsageError("index is empty")
-        return row_distances(self._points[:, : self._size].T, np.asarray(q, dtype=float))
+        return row_distances(self.points, np.asarray(q, dtype=float))
 
     @staticmethod
     def _closed_ball(dists, r):

@@ -7,6 +7,7 @@ admits the clearance volume the convergence arguments assume.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -60,6 +61,8 @@ def optimal_cost_2d_boxes(
         raise UsageError("the box-scene oracle supports box obstacles only")
     if scenario.start is None or scenario.goal is None:
         raise UsageError("oracle needs a start and a goal")
+    if not 0.0 < eps_vg < math.inf:
+        raise UsageError("eps_vg must be finite and > 0")
     if resolution is None:
         resolution = 1e-4 * scenario.diagonal
 
@@ -87,7 +90,7 @@ def tiling_cover_check(scenario: Scenario, path: Path, ball_radius: float) -> bo
     space (clearance at least the radius).  This is the executable form of
     the hyperball-tiling construction used in the convergence analysis.
     """
-    if ball_radius <= 0.0:
+    if not ball_radius > 0.0:
         raise UsageError("ball_radius must be > 0")
     wps = [np.asarray(w, dtype=float) for w in path.waypoints]
     for a, b in zip(wps[:-1], wps[1:]):

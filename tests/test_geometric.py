@@ -600,3 +600,22 @@ def test_search_tree_configs_rows_survive_growth(d):
     rows = tree.configs[ids]
     assert rows.flags["C_CONTIGUOUS"]
     assert rows.tobytes() == pts[ids].tobytes()
+
+
+def test_search_tree_answers_its_own_queries_across_growth():
+    # the configurations and the node arrays both double from capacity 4
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.random((50, 2)) * 4) / 4  # quarter grid: many tied distances
+    tree = SearchTree(pts[0], capacity=4)
+    for i in range(1, 50):
+        assert tree.add(pts[i], (i - 1) // 2, 1.0) == i
+    assert len(tree) == tree.size == 50
+    assert np.array_equal(tree.configs, pts)
+    assert tree.parent[49] == 24 and tree.cost[49] == tree.cost[24] + 1.0
+    for q in rng.random((10, 2)):
+        scan = [(distance(p.tolist(), q.tolist()), i) for i, p in enumerate(pts)]
+        assert tree.nearest_id(q) == min(scan)[1]
+        want = sorted(s for s in scan if s[0] <= 0.3)
+        ids, dists = tree.within_radius(q, 0.3)
+        assert ids.tolist() == [i for _, i in want]
+        assert dists.tolist() == [d for d, _ in want]

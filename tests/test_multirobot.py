@@ -436,8 +436,8 @@ def test_tensor_distances_match_full_scan(r, d, n, size, grid, seed):
     # random samples, and quarter-grid samples equidistant from many vertices
     queries = [rng.random(r * d) for _ in range(5)]
     queries += [rng.integers(0, 5, r * d) / 4 for _ in range(5)]
-    # the tree stores keys only
-    assert tree.configs.shape == (tree.size, 0)
+    # a node's configuration is its key
+    assert np.array_equal(tree.configs, np.array(tree.keys).reshape(tree.size, r))
     for q in queries:
         want = distances_by_full_scan(tree, q)
         assert np.array_equal(tree.distances(q), want)

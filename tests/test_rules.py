@@ -17,8 +17,10 @@ from aoplan import (
     connection_radius,
     edge_valid,
     k_connection,
+    kinematic_car,
     make_path,
     measure_dispersion,
+    optimal_cost_2d_boxes,
     path_clearance,
     radius_pairs,
     refine_path,
@@ -30,6 +32,7 @@ from aoplan import (
     single_integrator_2d,
     sst_plan,
     steer,
+    tiling_cover_check,
     unit_ball_volume,
 )
 
@@ -281,6 +284,13 @@ BAD_VALUES = {
     "within_radius": lambda: INDEX.within_radius((0.5, 0.5), math.nan),
     "radius_pairs": lambda: radius_pairs(A, math.nan),
     "system-step": lambda: single_integrator_2d(step=math.nan),
+    "car-heading_weight-nan": lambda: kinematic_car(heading_weight=math.nan),
+    "car-heading_weight-negative": lambda: kinematic_car(heading_weight=-1.0),
+    # the straight path crosses box_square's obstacle
+    "tiling-nan": lambda: tiling_cover_check(BOX, make_path([(0.1, 0.5), (0.9, 0.5)]), math.nan),
+    "oracle-eps_vg-nan": lambda: optimal_cost_2d_boxes(BOX, eps_vg=math.nan),
+    "oracle-eps_vg-negative": lambda: optimal_cost_2d_boxes(BOX, eps_vg=-0.01),
+    "oracle-eps_vg-inf": lambda: optimal_cost_2d_boxes(BOX, eps_vg=math.inf),
     "time_budget-nan": lambda: RunSpec(
         "scenarios/empty_square.json", "rrt-star", {}, 1, 0, (100,), time_budget=math.nan),
     "time_budget-negative": lambda: RunSpec(
