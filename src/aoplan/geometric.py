@@ -208,6 +208,7 @@ class SearchTree(NeighborIndex):
 
     def __init__(self, root_config: np.ndarray, capacity: int = 256, control_dim: int = 0):
         super().__init__(root_config.shape[0], capacity)
+        capacity = self._points.shape[1]  # at least 1
         self.controls = np.zeros((capacity, control_dim))
         self.parent = np.full(capacity, -1, dtype=np.int64)
         self.edge_len = np.zeros(capacity)
@@ -358,12 +359,8 @@ class _Run:
         self.rewires = 0
 
     def counters(self) -> dict:
-        return {
-            "samples": self.samples,
-            "collision_checks": self.checker.checks,
-            "nn_queries": self.nn_queries,
-            "rewires": self.rewires,
-        }
+        return {"samples": self.samples, "collision_checks": self.checker.checks,
+                "nn_queries": self.nn_queries, "rewires": self.rewires}
 
     def record(self, n, cost, nodes, edges) -> None:
         self.records.append((n, cost))
@@ -678,15 +675,16 @@ def rrt_star(
     """Rewiring tree planner.
 
     Per iteration: sample, steer from the nearest node and collect the
-    neighborhood within min(rule radius, eta_max), in (dist, id) order.
-    Edges are validated lazily.  The parent is the first neighbor with a
-    valid edge in stable (cost + dist) order, which is the cheapest valid
-    parent with the same tie-break as an argmin over all valid edges.  Then
-    each neighbor in (dist, id) order whose cost the new node would lower
-    is rewired if its edge is valid (a verdict from the parent walk is
-    reused), propagating cost updates immediately.  collision_checks counts
-    the edges actually checked.  Until a first solution exists
-    the radius rule runs on a conservative optimal-cost estimate (domain
+    neighborhood within min(rule radius, eta_max), ids ascending.  Edges
+    are validated lazily.  The parent is the first neighbor with a valid
+    edge in (cost + dist, dist, id) order: each step takes the argmin of
+    cost + dist over the unchecked rest, and an exact tie the argmin of
+    dist, whose first minimum is the lowest id.  Then each neighbor whose
+    cost the new node would lower, in (dist, id) order by a stable sort of
+    those few, is rewired if its edge is valid (a verdict from the parent
+    walk is reused), propagating cost updates immediately.  collision_checks
+    counts the edges actually checked.  Until a first solution exists the
+    radius rule runs on a conservative optimal-cost estimate (domain
     diagonal times dimension); after that, on the first solution's cost.
     """
     rule = rule if rule is not None else default_rule("rrt_star_revised", scenario)
@@ -709,14 +707,14 @@ def rrt_star(
             r = min(connection_radius(rule, max(tree.size, 2)), eta_max)
             run.nn_queries += 1
             ids, dists = tree.within_radius(v, r)
-            # edge verdicts by position in the near set, shared with the rewire walk
-            valid = {}
+            cost = tree.cost[ids]  # adding v leaves these costs as they are
+            through = cost + dists
+            valid = {}  # edge verdicts by position in the near set, shared with the rewire walk
             pick = -1
-            # argmin takes the first of equal values, so repeated argmins over
-            # the unchecked rest visit stable (cost + dist) order
-            through = tree.cost[ids] + dists
             for _ in range(ids.shape[0]):
-                j = int(np.argmin(through))
+                j = int(through.argmin())
+                tied = (through == through[j]).nonzero()[0]
+                j = int(tied[dists[tied].argmin()]) if tied.shape[0] > 1 else j
                 valid[j] = run.checker.edge_valid(v, tree.config(ids[j]))
                 if valid[j]:
                     pick = j
@@ -729,7 +727,8 @@ def rrt_star(
                         rule = replace(rule, c_star_estimate=float(tree.cost[vid]))
                     goal_nodes.append(vid)
                 base = tree.cost[vid]
-                for j in np.nonzero(base + dists < tree.cost[ids])[0].tolist():
+                cand = (base + dists < cost).nonzero()[0]
+                for j in cand[dists[cand].argsort(kind="stable")].tolist():
                     u = int(ids[j])
                     if base + dists[j] < tree.cost[u]:
                         if j not in valid:

@@ -8,14 +8,14 @@ chains of elementwise IEEE operations (`geometry._rowdot` sums alike), all
 round alike in every memory layout and on every BLAS or SIMD kernel.
 
 `NeighborIndex` scans its points with the kernel, so its answers are the
-linear-scan answers by construction.  A point's id is its insert position,
-and queries return (ids, dists) arrays in (distance, id) order.  It is
-also the one column store of every tree: `SearchTree` is a NeighborIndex
-whose points are its node configurations, so a tree answers its own
-queries and keeps no second copy.  Single writer.  `radius_pairs` and
-`knn_lists` answer the same queries for every point of a fixed set at once,
-by one sweep over a uniform grid in the kernel's summation order, so their
-answers equal the index's, ties and duplicate points included.
+linear-scan answers by construction.  A point's id is its insert position;
+a ball query returns ids ascending, and `k_nearest` ranks by (distance,
+id).  It is also the one column store of every tree: `SearchTree` is a
+NeighborIndex whose points are its node configurations, so a tree answers
+its own queries and keeps no second copy.  Single writer.  `radius_pairs`
+and `knn_lists` answer the same queries for every point of a fixed set at
+once, by one sweep over a uniform grid in the kernel's summation order, so
+their answers equal the index's, ties and duplicate points included.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class NeighborIndex:
     """Exact linear-scan index in which a point's id is its insert position.
 
     Points are the columns of one (d, capacity) array, doubled when full.
-    Queries return (ids, dists) arrays in (distance, id) order.
+    Queries return (ids, dists) arrays; only `k_nearest` sorts them.
     """
 
     def __init__(self, dimension: int, capacity: int = 64):
@@ -81,11 +81,14 @@ class NeighborIndex:
         """Store q as point `id`, which must be the next position, len(self)."""
         if id != self._size:
             raise UsageError(f"id {id} is not the next position {self._size}")
-        if np.shape(q) != (self.dimension,):
-            raise UsageError("point dimension mismatch")
         if self._size == self._points.shape[1]:
             self._points = np.concatenate([self._points, np.empty_like(self._points)], axis=1)
-        self._points[:, self._size] = q
+        try:  # len and ndim: np.shape would copy a tuple into an array first
+            if len(q) != self.dimension or getattr(q, "ndim", 1) != 1:
+                raise ValueError
+            self._points[:, self._size] = q
+        except (TypeError, ValueError):  # a scalar, a wrong length, rows nested in q
+            raise UsageError("point dimension mismatch") from None
         self._size += 1
 
     @property
@@ -98,31 +101,28 @@ class NeighborIndex:
             raise UsageError("index is empty")
         return row_distances(self.points, np.asarray(q, dtype=float))
 
-    @staticmethod
-    def _closed_ball(dists, r):
-        """Ids with dists <= r in (distance, id) order: the stable sort keeps ascending ids."""
-        ids = np.nonzero(dists <= r)[0]
-        ids = ids[np.argsort(dists[ids], kind="stable")]
-        return ids, dists[ids]
-
     def nearest_id(self, q) -> int:
         """The closest point's id; argmin's first minimum is the lowest tied id."""
-        return int(np.argmin(self._distances(q)))
+        return int(self._distances(q).argmin())
 
     def k_nearest(self, q, k: int):
-        """The min(k, size) closest points as (ids, dists) arrays."""
+        """The min(k, size) closest points as (ids, dists) arrays in (distance, id) order."""
         if k < 1:
             raise UsageError("k must be >= 1")
         dists = self._distances(q)
         k = min(k, self._size)
-        ids, dists = self._closed_ball(dists, np.partition(dists, k - 1)[k - 1])
-        return ids[:k], dists[:k]
+        ids = (dists <= np.partition(dists, k - 1)[k - 1]).nonzero()[0]
+        # a stable sort of ascending ids breaks distance ties by id
+        ids = ids[dists[ids].argsort(kind="stable")[:k]]
+        return ids, dists[ids]
 
     def within_radius(self, q, r: float):
-        """Points within distance r (closed ball) as (ids, dists) arrays."""
+        """Points within distance r (closed ball) as (ids, dists) arrays, ids ascending."""
         if not r > 0.0:
             raise UsageError("radius must be > 0")
-        return self._closed_ball(self._distances(q), r)
+        dists = self._distances(q)
+        ids = (dists <= r).nonzero()[0]
+        return ids, dists[ids]
 
 
 _SLACK = 1e-9  # relative widening of a grid cell beyond the search radius

@@ -190,8 +190,8 @@ def test_criterion_3_nn_oracle_equivalence():
         )
 
     def oracle(ranked, k=None, radius=None):
-        if radius is not None:
-            return [pid for d, pid in ranked if d <= radius]
+        if radius is not None:  # a ball query returns ids ascending
+            return sorted(pid for d, pid in ranked if d <= radius)
         return [pid for _, pid in ranked[:k]]
 
     mismatches = 0

@@ -381,6 +381,33 @@ def test_rrt_star_path_is_valid_chain(box_square):
     assert res.path.cost == pytest.approx(path_cost(wp), abs=1e-9)
 
 
+class ScriptedStream:
+    """A uniform-kind stream that always samples (0.5 >= goal_bias) and yields the given points."""
+
+    kind = "uniform"
+
+    def __init__(self, points):
+        self._points = iter(points)
+
+    def next_uniform01(self):
+        return 0.5
+
+    def next_point(self, domain):
+        return np.array(next(self._points), dtype=float)
+
+
+def test_rrt_star_parent_ties_go_to_the_nearer_node():
+    # the start and node (0.5, 0.25) both reach (0.75, 0.25) at cost 0.5;
+    # (cost + dist, dist, id) order takes the nearer node, not the lower id
+    sc = scenario_from_dict({
+        "dimension": 2, "domain": {"min": [0, 0], "max": [1, 1]}, "obstacles": [],
+        "start": [0.25, 0.25], "goal": {"center": [0.75, 0.25], "radius": 0.02},
+    })
+    res = rrt_star(sc, ScriptedStream([(0.5, 0.25), (0.75, 0.25)]), 2, 0.5, goal_bias=0.0)
+    assert [w.tolist() for w in res.path.waypoints] == [[0.25, 0.25], [0.5, 0.25], [0.75, 0.25]]
+    assert res.best_cost == 0.5
+
+
 def test_rrt_star_deterministic(empty_square):
     a = rrt_star(empty_square, UniformStream(2, 77), 1200, eta=0.15)
     b = rrt_star(empty_square, UniformStream(2, 77), 1200, eta=0.15)
@@ -602,6 +629,15 @@ def test_search_tree_configs_rows_survive_growth(d):
     assert rows.tobytes() == pts[ids].tobytes()
 
 
+def test_search_tree_grows_from_capacity_zero():
+    tree = SearchTree(np.zeros(2), capacity=0)
+    for i in range(1, 5):
+        assert tree.add(np.array([float(i), 0.0]), i - 1, 1.0) == i
+    assert tree.configs[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert tree.cost[:5].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    tree.audit_costs()
+
+
 def test_search_tree_answers_its_own_queries_across_growth():
     # the configurations and the node arrays both double from capacity 4
     rng = np.random.default_rng(5)
@@ -615,7 +651,7 @@ def test_search_tree_answers_its_own_queries_across_growth():
     for q in rng.random((10, 2)):
         scan = [(distance(p.tolist(), q.tolist()), i) for i, p in enumerate(pts)]
         assert tree.nearest_id(q) == min(scan)[1]
-        want = sorted(s for s in scan if s[0] <= 0.3)
+        want = [s for s in scan if s[0] <= 0.3]  # in id order, as the ball returns it
         ids, dists = tree.within_radius(q, 0.3)
         assert ids.tolist() == [i for _, i in want]
         assert dists.tolist() == [d for d, _ in want]

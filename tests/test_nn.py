@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "aoplan"
 
 
 def linear_scan(points, q, k=None, radius=None):
-    """Independent reference: python arithmetic, sort by (distance, id).
+    """Independent reference in python arithmetic: the k nearest by (distance, id), a ball by id.
 
     Squares are products: CPython's `x ** 2` calls pow, which can round
     differently from `x * x`.
@@ -24,7 +24,7 @@ def linear_scan(points, q, k=None, radius=None):
         scored.append((d, pid))
     scored.sort()
     if radius is not None:
-        return [(pid, d) for d, pid in scored if d <= radius]
+        return sorted((pid, d) for d, pid in scored if d <= radius)
     return [(pid, d) for d, pid in scored[:k]]
 
 
@@ -62,6 +62,18 @@ def test_insert_must_take_the_next_position():
     with pytest.raises(UsageError):
         idx.insert(2, (1.0, 1.0))
     assert len(idx) == 1
+
+
+@pytest.mark.parametrize("q", [(0.0, 0.0, 0.0), 0.5, np.zeros((2, 1)), ((0.0,), (1.0,))],
+                         ids=["wrong-length", "scalar", "column", "nested"])
+def test_insert_rejects_a_point_of_the_wrong_shape(q):
+    idx = NeighborIndex(2)
+    with pytest.raises(UsageError):
+        idx.insert(0, q)
+    assert len(idx) == 0
+    idx.insert(0, np.array([0.25, 0.5]))
+    idx.insert(1, (1, 2))
+    assert idx.points.tolist() == [[0.25, 0.5], [1.0, 2.0]]
 
 
 def test_k_larger_than_size_returns_all():
@@ -107,8 +119,8 @@ def test_tie_break_by_lower_id():
         idx.insert(i, p)
     ids, dists = idx.k_nearest((0.0, 0.0), 3)
     assert ids.tolist() == [1, 0, 2] and dists.tolist() == [0.5, 1.0, 1.0]
-    got_r, _ = idx.within_radius((0.0, 0.0), 2.0)
-    assert got_r.tolist() == [1, 0, 2, 3]
+    got_r, dists_r = idx.within_radius((0.0, 0.0), 2.0)
+    assert got_r.tolist() == [0, 1, 2, 3] and dists_r.tolist() == [1.0, 0.5, 1.0, 1.0]
     assert idx.nearest_id((1.0, 0.0)) == 0
 
 
