@@ -90,6 +90,7 @@ from .sampling import (
     measure_dispersion,
     radical_inverse,
     sample_free,
+    samples_free,
 )
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _whole
 from .geometry import Scenario, load_scenario_file
-from .geometric import _checkpoint_list, _whole, default_rule, prm_star, rrt, rrt_star
+from .geometric import _checkpoint_list, default_rule, prm_star, rrt, rrt_star
 from .kinodynamic import SYSTEMS, ao_meta, ao_rrt_plan, cost_bounded_rrt, sst_plan
 from .multirobot import drrt_star
 from .sampling import UniformStream
@@ -201,18 +201,9 @@ def _trial_task(task) -> list:
         # latest record at or before the requested checkpoint
         st = next((st for st in reversed(result.checkpoint_stats) if st["n"] <= c), None)
         cost = None if st is None or timed_out else st["cost"]
-        rows.append(ResultRow(
-            scenario=spec.scenario_path,
-            planner=spec.planner,
-            seed=seed,
-            checkpoint_n=c,
-            best_cost=cost,
-            success=cost is not None,
-            time_ms=int(st["work"]) if st else 0,
-            nodes=int(st["nodes"]) if st else 0,
-            edges=int(st["edges"]) if st else 0,
-            collision_checks=int(st["collision_checks"]) if st else 0,
-        ))
+        counts = [int(st[k]) if st else 0 for k in ("work", "nodes", "edges", "collision_checks")]
+        rows.append(ResultRow(spec.scenario_path, spec.planner, seed, c, cost, cost is not None,
+                              *counts))
     return rows
 
 

@@ -21,13 +21,7 @@ from .bench import (
     run_planner,
     summary_to_csv,
 )
-from .errors import (
-    PlanningError,
-    SaturationError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    UsageError,
-)
+from .errors import PlanningError, UsageError
 from .geometric import RADIUS_RULES, RadiusRule, connection_radius, k_connection
 from .geometry import Box, load_scenario_file
 from .kinodynamic import Trajectory
@@ -191,8 +185,7 @@ def _cmd_radius(args) -> int:
 def _cmd_dispersion(args) -> int:
     stream = make_stream(args.d, args.sampler, args.seed)
     domain = Box(lo=np.zeros(args.d), hi=np.ones(args.d))
-    samples = [stream.next_point(domain) for _ in range(args.n)]
-    report = measure_dispersion(samples, domain, args.grid)
+    report = measure_dispersion(stream.next_points(domain, args.n), domain, args.grid)
     print(report.csv_line())
     return 0
 
@@ -225,10 +218,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ScenarioParseError, ScenarioValidationError,
-            SaturationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,17 @@ class UsageError(PlanningError, ValueError):
     """A caller violated a documented precondition (bad parameter, bad call)."""
 
 
+def _whole(value) -> int:
+    """int(value); UsageError for a value that is not a whole number (2.5, nan, 'x')."""
+    try:
+        out = int(value)
+        if isinstance(value, float) and out != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{value!r} is not a whole number") from None
+    return out
+
+
 class ScenarioParseError(PlanningError):
     """Scenario document is structurally malformed (bad JSON, missing field)."""
 

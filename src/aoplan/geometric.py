@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AuditError, UsageError
+from .errors import AuditError, UsageError, _whole
 from .geometry import (
     CollisionChecker,
     GoalRegion,
@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .nn import (NeighborIndex, _pair_distances, distance, knn_lists, radius_pairs,
                  row_distances, unit_ball_volume)
-from .sampling import sample_free
+from .sampling import sample_free, samples_free
 
 RADIUS_RULES = ("prm_star", "fmt_star_constant", "rrt_star_revised", "k_prm_star", "fixed")
 
@@ -390,17 +390,6 @@ class _Run:
         )
 
 
-def _whole(value) -> int:
-    """int(value); UsageError for a value that is not a whole number (2.5, nan, 'x')."""
-    try:
-        out = int(value)
-        if isinstance(value, float) and out != value:
-            raise ValueError(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{value!r} is not a whole number") from None
-    return out
-
-
 def _checkpoint_list(checkpoints) -> list:
     """The checkpoints as strictly ascending positive whole numbers, or UsageError."""
     cps = [_whole(c) for c in checkpoints]
@@ -514,12 +503,12 @@ def _connect_prefix(run, configs, nv, rule, goal_region):
         key = np.sort(a * np.int64(nv) + b)
         key = key[np.diff(key, prepend=-1) != 0]
         a, b = np.divmod(key, nv)
-    keep = np.zeros(a.shape[0], dtype=bool)
-    chunk = 200_000
-    for lo in range(0, a.shape[0], chunk):
-        keep[lo:lo + chunk] = run.checker.edges_valid(pts[a[lo:lo + chunk]], pts[b[lo:lo + chunk]])
-    a, b = a[keep], b[keep]
     weights = _pair_distances(pts, a, b)
+    keep = run.checker.edges_valid(pts, a, b, weights)
+    # one at a time, so only one unfiltered array is copied at once
+    a = a[keep]
+    b = b[keep]
+    weights = weights[keep]
 
     ball = row_distances(pts, goal_region.center) <= goal_region.radius
     goal_ids = sorted({1, *np.nonzero(ball)[0].tolist()})
@@ -555,13 +544,9 @@ def prm_star(
     if done:
         return done
 
-    d = scenario.dimension
-    configs = np.empty((n + 2, d), dtype=float)
-    configs[0] = start
-    configs[1] = goal.center
-    for i in range(n):
-        run.samples += 1
-        configs[2 + i] = sample_free(stream, scenario, max_attempts, margin)
+    samples = samples_free(stream, scenario, n, max_attempts, margin)
+    configs = np.vstack([start, goal.center, samples])
+    run.samples += n
 
     if stream.kind == "halton" and rule.rule not in ("k_prm_star",):
         # deterministic-sampling guard: the radius must dominate the
@@ -569,7 +554,7 @@ def prm_star(
         # grows with n, so the first checkpoint prefix is the binding one
         nv = run.checkpoints[0] + 2
         r_first = connection_radius(rule, nv)
-        bound = rule.gamma_det * nv ** (-1.0 / d)
+        bound = rule.gamma_det * nv ** (-1.0 / scenario.dimension)
         if r_first < bound:
             raise UsageError(
                 f"halton run fails the dispersion guard: r_n={r_first:.6g} < "

@@ -201,6 +201,7 @@ def points_valid(scenario: Scenario, pts: np.ndarray, margin: float = 0.0) -> np
     center must stay inside the domain, its body may overhang the
     boundary).  Boundary contact with an obstacle counts as collision.
     """
+    _check_margin(margin)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ok = scenario.domain.contains(pts)
     for ob in scenario.obstacles:
@@ -224,6 +225,12 @@ def _check_resolution(rho) -> None:
     """UsageError unless the subdivision resolution rho is finite and > 0 (nan is not)."""
     if not 0.0 < rho < math.inf:
         raise UsageError("resolution rho must be finite and > 0")
+
+
+def _check_margin(margin) -> None:
+    """UsageError unless the obstacle margin is finite and >= 0 (nan is not)."""
+    if not 0.0 <= margin < math.inf:
+        raise UsageError("margin must be finite and >= 0")
 
 
 def _canonical_rows(a: np.ndarray, b: np.ndarray):
@@ -365,6 +372,7 @@ def segments_valid(
 def edge_valid(scenario: Scenario, a, b, rho: float, margin: float = 0.0) -> bool:
     """True iff every subdivision point of segment ab at spacing <= rho is valid."""
     _check_resolution(rho)
+    _check_margin(margin)
     a = as_config(a, scenario.dimension, "edge endpoint")
     b = as_config(b, scenario.dimension, "edge endpoint")
     return _segment_free(scenario._bounds, a.tolist(), b.tolist(), rho, margin)
@@ -485,9 +493,10 @@ def _segment_free(bounds, a, b, rho: float, margin: float) -> bool:
 # must lie in the domain and clear every obstacle inflated by the robot's
 # radius, and each robot pair must stay at least its radii sum apart.
 
-# relative rounding tolerance of the composite check; errors in its float
+# relative rounding tolerance of the composite check and of the clearance
+# certificate, scaled by 1 + max |domain bound|; errors in their float
 # arithmetic are about 1e-15 of the scene's scale
-_COMPOSITE_TOL = 1e-9
+_TOL = 1e-9
 
 
 def _pair_clear(pi, pj, si, sj, m: int, rr: float) -> bool:
@@ -520,7 +529,7 @@ def _composite_free(bounds, a, b, radii, rho: float) -> bool:
       settled by every row.
     """
     lo, hi, obstacles = bounds
-    tol = _COMPOSITE_TOL * (1.0 + max(map(abs, lo + hi)))
+    tol = _TOL * (1.0 + max(map(abs, lo + hi)))
     steps = [[y - x for x, y in zip(p, q)] for p, q in zip(a, b)]
     sss = []
     for s in steps:
@@ -800,6 +809,7 @@ class CollisionChecker:
         if resolution is None:
             resolution = scenario.default_resolution()
         _check_resolution(resolution)
+        _check_margin(margin)
         self.scenario = scenario
         self.resolution = float(resolution)
         self.margin = float(margin)
@@ -816,10 +826,29 @@ class CollisionChecker:
         return _segment_free(self.scenario._bounds, _floats(a, d, "edge endpoint"),
                              _floats(b, d, "edge endpoint"), self.resolution, self.margin)
 
-    def edges_valid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(a).shape[0]
-        self.checks += max(n, np.atleast_2d(b).shape[0])
-        return segments_valid(self.scenario, a, b, self.resolution, self.margin)
+    def edges_valid(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+        """segments_valid for the edges (pts[a[i]], pts[b[i]]) of lengths[i]; one check each.
+
+        An edge shorter than an end's clearance less margin and tolerance is
+        free, exactly: the segment lies in the closed ball of radius |ab|
+        around either end, every subdivision point that segments_valid
+        computes ((i/m)*u + a, or b) lies within a few ulps of the segment,
+        and the tolerance covers those ulps and the rounding of length and
+        clearance some 10^6 times over.  Contact is collision, so the test
+        is strict.  The other edges go through segments_valid.
+        """
+        self.checks += len(a)
+        lo, hi, _ = self.scenario._bounds
+        clear = (clearance_of_points(self.scenario, pts) - self.margin
+                 - _TOL * (1.0 + max(map(abs, lo + hi))))
+        ok = (lengths < clear[a]) | (lengths < clear[b])
+        rows = np.flatnonzero(~ok)
+        for i in range(0, rows.size, 200_000):
+            r = rows[i:i + 200_000]
+            ok[r] = segments_valid(self.scenario, pts[a[r]], pts[b[r]], self.resolution,
+                                   self.margin)
+        return ok
 
     def states_valid(self, pts: np.ndarray) -> bool:
         """points_valid(pts).all() for an (m, d) array, one point at a time; one check."""

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AuditError, UsageError
+from .errors import AuditError, UsageError, _whole
 from .geometry import Scenario
-from .geometric import PlanResult, SearchTree, _Run, _checkpoint_stat, _whole
+from .geometric import PlanResult, SearchTree, _Run, _checkpoint_stat
 from .nn import NeighborIndex, distance, row_distances
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SaturationError, UsageError
-from .geometry import Box, Scenario, _point_free
+from .errors import SaturationError, UsageError, _whole
+from .geometry import Box, Scenario, _check_margin, _point_free, points_valid
 from .nn import _root_sum_squares
 
 
@@ -62,6 +62,13 @@ class UniformStream:
             raise UsageError("stream dimension does not match the domain")
         return np.array([l + self.next_uniform01() * (h - l) for l, h in zip(lo, hi)])
 
+    def next_points(self, domain: Box, k: int) -> np.ndarray:
+        """The (k, d) array of k next_point calls: the same doubles, the same state after."""
+        if domain.dimension != self.dimension:
+            raise UsageError("stream dimension does not match the domain")
+        u = [self.next_uniform01() for _ in range(k * self.dimension)]
+        return domain.lo + np.array(u, dtype=float).reshape(-1, self.dimension) * domain.widths
+
     def next_uniform01(self) -> float:
         if not self._draws:
             self._draws = self._rng.random(self._BLOCK).tolist()[::-1]
@@ -89,12 +96,15 @@ class HaltonStream:
         self._scalar_index = int(start_index)
 
     def next_point(self, domain: Box) -> np.ndarray:
+        return self.next_points(domain, 1)[0]
+
+    def next_points(self, domain: Box, k: int) -> np.ndarray:
+        """The (k, d) array of k next_point calls: point i has index self.index + i."""
         if domain.dimension != self.dimension:
             raise UsageError("stream dimension does not match the domain")
-        unit = np.array(
-            [radical_inverse(b, self.index) for b in self.bases], dtype=float
-        )
-        self.index += 1
+        unit = np.array([radical_inverse(b, i) for i in range(self.index, self.index + k)
+                         for b in self.bases], dtype=float).reshape(-1, self.dimension)
+        self.index += len(unit)
         return domain.lo + unit * domain.widths
 
     def next_uniform01(self) -> float:
@@ -116,16 +126,41 @@ def make_stream(dimension: int, sampler: str = "uniform", seed: int = 0):
 def sample_free(stream, scenario: Scenario, max_attempts: int,
                 margin: float = 0.0) -> np.ndarray:
     """First emitted sample that is valid; SaturationError when the budget runs out."""
-    if max_attempts < 1:
+    _check_margin(margin)
+    if _whole(max_attempts) < 1:
         raise UsageError("max_attempts must be >= 1")
     bounds = scenario._bounds
-    for _ in range(max_attempts):
+    for _ in range(int(max_attempts)):
         q = stream.next_point(scenario.domain)
         if _point_free(bounds, q.tolist(), margin):
             return q
     raise SaturationError(
         f"no valid sample in {max_attempts} attempts; space looks heavily obstructed"
     )
+
+
+def samples_free(stream, scenario: Scenario, n: int, max_attempts: int,
+                 margin: float = 0.0) -> np.ndarray:
+    """The (n, d) array of the samples that n sample_free calls return.
+
+    Each round draws exactly the samples still needed, checked by one
+    points_valid call, so it draws no candidate the sequential calls would
+    not; the run of rejections carries across rounds.  After a
+    SaturationError the stream's state is unspecified.
+    """
+    _check_margin(margin)
+    if _whole(max_attempts) < 1:
+        raise UsageError("max_attempts must be >= 1")
+    blocks, run = [np.empty((0, scenario.dimension))], 0  # run: rejections since a valid one
+    while n > 0:
+        pts = stream.next_points(scenario.domain, n)
+        valid = np.flatnonzero(points_valid(scenario, pts, margin))
+        runs = np.diff(valid, prepend=-1 - run, append=n) - 1  # rejections before, between, after
+        if runs.max() >= max_attempts:
+            raise SaturationError(f"no valid sample in {max_attempts} attempts")
+        blocks.append(pts[valid])
+        run, n = int(runs[-1]), n - valid.size
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from aoplan import (
     scenario_from_dict,
     segments_valid,
 )
-from aoplan.geometry import _rowdot
+from aoplan.geometry import _rowdot, clearance_of_points
+from aoplan.nn import _pair_distances
 
 from conftest import pocket_scenario
 
@@ -496,3 +497,85 @@ def test_states_valid_matches_points_valid(scene, wall):
         before = checker.checks
         assert checker.states_valid(pts) == bool(points_valid(sc, pts, margin).all())
         assert checker.checks == before + 1
+
+
+# --- clearance certificate of the batched edge check ------------------------
+
+
+@st.composite
+def certificate_case(draw):
+    """A one_item_scene, vertices in and around it, and edges to test.
+
+    Each of the first 30 vertices has a partner vertex at a distance of its
+    clearance less the margin, scaled by 1 - rel for a rel of either sign
+    between 1e-17 and 1e-2 or exactly 0, so many edges lie within rounding
+    of the certificate's boundary.  Both orientations are tested, plus 40
+    random pairs.
+    """
+    sc, margin, rho, seed = draw(one_item_scene())
+    rng = np.random.default_rng(seed)
+    n, d = 30, sc.dimension
+    base = rng.uniform(-0.05, 1.05, (n, d))
+    v = rng.standard_normal((n, d))
+    v /= np.sqrt(_rowdot(v, v))[:, None]
+    rel = rng.choice([-1.0, 0.0, 1.0], n) * 10.0 ** rng.uniform(-17, -2, n)
+    reach = np.maximum(clearance_of_points(sc, base) - margin, 0.0) * (1.0 - rel)
+    pts = np.vstack([base, base + reach[:, None] * v])
+    i = np.arange(n)
+    extra_a, extra_b = rng.integers(0, 2 * n, (2, 40))
+    return (sc, margin, rho, pts, np.concatenate([i, i + n, extra_a]),
+            np.concatenate([i + n, i, extra_b]))
+
+
+def boundary_case(obstacle, margin, a, point_at, x):
+    """Edges from a to point_at at the first x that collides as x grows, and 1 and 2 ulps short.
+
+    x starts as a guess of the boundary; both orientations of each edge.
+    """
+    sc = square([obstacle])
+
+    def hit(x):
+        return not points_valid(sc, point_at(x), margin)[0]
+
+    while hit(x):
+        x = np.nextafter(x, -np.inf)
+    while not hit(x):
+        x = np.nextafter(x, np.inf)
+    short1 = np.nextafter(x, -np.inf)
+    short2 = np.nextafter(short1, -np.inf)
+    pts = np.array([a, point_at(x), point_at(short1), point_at(short2)])
+    return sc, margin, 1e-3, pts, np.array([0, 0, 0, 1, 2, 3]), np.array([1, 2, 3, 0, 0, 0])
+
+
+BALL = {"type": "ball", "center": [0.5, 0.5], "radius": 0.1}
+
+
+def face_case(margin):
+    # at margin 0 the edge (0.3, 0.5)-(0.4, 0.5) and the clearance of (0.3, 0.5)
+    # are both 0.10000000000000003 long, and the edge touches the obstacle
+    return boundary_case(BOX, margin, (0.3, 0.5), lambda x: (x, 0.5), 0.4 - margin)
+
+
+def corner_case(margin):
+    return boundary_case(BOX, margin, (0.3, 0.3), lambda x: (x, x), 0.4 - margin / math.sqrt(2))
+
+
+def ball_case(margin):
+    return boundary_case(BALL, margin, (0.3, 0.5), lambda x: (x, 0.5), 0.4 - margin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=certificate_case())
+@example(case=face_case(0.0))
+@example(case=face_case(0.05))
+@example(case=corner_case(0.0))
+@example(case=corner_case(0.05))
+@example(case=ball_case(0.0))
+@example(case=ball_case(0.05))
+def test_edges_valid_certificate_matches_subdivision(case):
+    """Certified or subdivided, each edge gets segments_valid's verdict, and one check."""
+    sc, margin, rho, pts, a, b = case
+    checker = CollisionChecker(sc, rho, margin)
+    got = checker.edges_valid(pts, a, b, _pair_distances(pts, a, b))
+    assert got.tolist() == segments_valid(sc, pts[a], pts[b], rho, margin).tolist()
+    assert checker.checks == len(a)

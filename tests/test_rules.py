@@ -22,12 +22,14 @@ from aoplan import (
     measure_dispersion,
     optimal_cost_2d_boxes,
     path_clearance,
+    prm_star,
     radius_pairs,
     refine_path,
     rgg_connectivity_radius,
     rrt,
     rrt_star,
     run_planner,
+    sample_free,
     segments_valid,
     single_integrator_2d,
     sst_plan,
@@ -261,6 +263,15 @@ BAD_VALUES = {
     "path_clearance-inf": lambda: path_clearance(BOX, make_path([A[0], B[0]]), math.inf),
     "checker-nan": lambda: CollisionChecker(BOX, math.nan),
     "checker-inf": lambda: CollisionChecker(BOX, math.inf),
+    "checker-margin-nan": lambda: CollisionChecker(BOX, None, math.nan),
+    "checker-margin-negative": lambda: CollisionChecker(BOX, None, -0.5),
+    "checker-margin-inf": lambda: CollisionChecker(BOX, None, math.inf),
+    "prm_star-margin-nan": lambda: prm_star(BOX, UniformStream(2, 1), 300, margin=math.nan),
+    "sample_free-max_attempts-fraction": lambda: sample_free(UniformStream(2, 1), BOX, 2.5),
+    "sample_free-max_attempts-nan": lambda: sample_free(UniformStream(2, 1), BOX, math.nan),
+    "sample_free-max_attempts-inf": lambda: sample_free(UniformStream(2, 1), BOX, math.inf),
+    "prm_star-max_attempts-nan": lambda: prm_star(BOX, UniformStream(2, 1), 300,
+                                                  max_attempts=math.nan),
     "composite-nan": lambda: composite_edge_valid(SWAP, *PAIR, math.nan),
     "composite-inf": lambda: composite_edge_valid(SWAP, *PAIR, math.inf),
     "run_planner-resolution-inf": lambda: run_planner(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aoplan import (
     Box,
@@ -16,6 +16,7 @@ from aoplan import (
     measure_dispersion,
     radical_inverse,
     sample_free,
+    samples_free,
     scenario_from_dict,
 )
 
@@ -134,6 +135,95 @@ def test_sample_free_needs_attempts():
     sc = _scenario([])
     with pytest.raises(UsageError):
         sample_free(UniformStream(2, 0), sc, 0)
+
+
+# --- block draws ----------------------------------------------------------
+
+WIDE = Box(lo=np.array([-1.0, 2.0]), hi=np.array([3.0, 2.5]))
+
+
+def twin_streams(kind, seed):
+    """Two streams that emit the same sequence."""
+    if kind == "uniform":
+        return UniformStream(2, seed), UniformStream(2, seed)
+    return HaltonStream(2, seed + 1), HaltonStream(2, seed + 1)
+
+
+def assert_same_state(s1, s2, domain):
+    assert s1.next_point(domain).tolist() == s2.next_point(domain).tolist()
+    assert s1.next_uniform01() == s2.next_uniform01()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["uniform", "halton"]), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(-2, 1500), min_size=1, max_size=4))
+@example(kind="halton", seed=0, sizes=[5, -2])
+def test_next_points_equal_next_point_calls(kind, seed, sizes):
+    """Across block edges, k points are k next_point calls (none for k < 1), bit for bit."""
+    s1, s2 = twin_streams(kind, seed)
+    for k in sizes:
+        got = s1.next_points(WIDE, k)
+        want = [s2.next_point(WIDE).tolist() for _ in range(k)]
+        assert got.dtype == np.float64 and got.shape == (max(k, 0), 2)
+        assert got.tolist() == want
+    assert_same_state(s1, s2, WIDE)
+
+
+def _sequential(stream, sc, n, max_attempts, margin=0.0):
+    return np.array([sample_free(stream, sc, max_attempts, margin) for _ in range(n)])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "halton"])
+@pytest.mark.parametrize("n, margin", [(1, 0.0), (300, 0.0), (3000, 0.05)])
+def test_samples_free_equals_sample_free_calls(kind, n, margin):
+    sc = _scenario([{"type": "box", "min": [0.4, 0.4], "max": [0.6, 0.6]},
+                    {"type": "ball", "center": [0.2, 0.8], "radius": 0.15}])
+    s1, s2 = twin_streams(kind, 7)
+    got = samples_free(s1, sc, n, 50, margin)
+    assert got.tobytes() == _sequential(s2, sc, n, 50, margin).tobytes()
+    assert_same_state(s1, s2, sc.domain)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "halton"])
+def test_samples_free_saturates_where_sample_free_does(kind):
+    """A scene whose free space is the strip x > 0.8: both raise, or both return the same."""
+    from aoplan import BoxObstacle, Scenario
+
+    sc = Scenario(dimension=2, domain=UNIT2, start=None, goal=None,
+                  obstacles=(BoxObstacle(lo=np.array([-1.0, -1.0]), hi=np.array([0.8, 2.0])),))
+    outcomes = set()
+    for max_attempts in range(1, 6):
+        for seed in range(30):
+            s1, s2 = twin_streams(kind, seed)
+            try:
+                want = _sequential(s2, sc, 3, max_attempts)
+            except SaturationError:
+                with pytest.raises(SaturationError):
+                    samples_free(s1, sc, 3, max_attempts)
+                outcomes.add("saturated")
+                continue
+            assert samples_free(s1, sc, 3, max_attempts).tobytes() == want.tobytes()
+            assert_same_state(s1, s2, sc.domain)
+            outcomes.add("sampled")
+    assert outcomes == {"saturated", "sampled"}
+
+
+@pytest.mark.parametrize("kind", ["uniform", "halton"])
+def test_samples_free_on_a_shared_stream(kind):
+    """Two calls on one stream, as per-robot roadmaps make them, equal the sequential draws."""
+    sc = _scenario([{"type": "box", "min": [0.4, 0.4], "max": [0.6, 0.6]}])
+    s1, s2 = twin_streams(kind, 3)
+    got = [samples_free(s1, sc, 400, 100, 0.08), samples_free(s1, sc, 250, 100, 0.03)]
+    want = [_sequential(s2, sc, 400, 100, 0.08), _sequential(s2, sc, 250, 100, 0.03)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert_same_state(s1, s2, sc.domain)
+
+
+@pytest.mark.parametrize("max_attempts, margin", [(2.5, 0.0), (math.nan, 0.0), (0, 0.0),
+                                                  (10, math.nan), (10, -0.5), (10, math.inf)])
+def test_samples_free_checks_its_arguments(max_attempts, margin):
+    with pytest.raises(UsageError):
+        samples_free(UniformStream(2, 0), _scenario([]), 5, max_attempts, margin)
 
 
 # --- dispersion -----------------------------------------------------------
