@@ -174,12 +174,11 @@ class Roadmap:
         w = np.asarray(w, dtype=float)
         if not a.shape == b.shape == w.shape or np.any((a < 0) | (a >= n) | (b < 0) | (b >= n)):
             raise UsageError("edges need equal-length a, b and w, with ids in [0, n)")
-        # each edge once from each end, sorted by (source, neighbour)
-        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-        order = np.argsort(src * n + dst)
+        # each edge once from each end, sorted by the key source * n + neighbour
+        order = np.argsort(np.concatenate([a * n + b, b * n + a]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(vertices, indptr, dst[order], np.concatenate([w, w])[order],
+        np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
+        return cls(vertices, indptr, np.concatenate([b, a])[order], np.concatenate([w, w])[order],
                    start_id, list(goal_ids), goal)
 
     @property
@@ -438,30 +437,33 @@ def shortest_path(roadmap: Roadmap) -> Optional[Path]:
         return None
     start = roadmap.start_id
 
+    n = roadmap.vertices.shape[0]
     if roadmap.goal is not None:
         dists = row_distances(roadmap.vertices, roadmap.goal.center)
         heur = np.maximum(dists - roadmap.goal.radius, 0.0).tolist()
     else:
-        heur = [0.0] * roadmap.vertices.shape[0]
+        heur = [0.0] * n
 
-    dist = {start: 0.0}
-    parent = {start: -1}
-    closed = set()
+    indptr = roadmap.indptr.tolist()
+    dist = [math.inf] * n
+    dist[start] = 0.0
+    parent = [-1] * n
+    closed = bytearray(n)
     heap = [(heur[start], start)]
     found = None
     while heap:
         f, v = heappop(heap)
-        if v in closed:
+        if closed[v]:
             continue
-        closed.add(v)
+        closed[v] = 1
         if v in goals:
             found = v
             break
         dv = dist[v]
-        ids, weights = roadmap.neighbors(v)
-        for u, w in zip(ids.tolist(), weights.tolist()):
+        lo, hi = indptr[v], indptr[v + 1]
+        for u, w in zip(roadmap.indices[lo:hi].tolist(), roadmap.weights[lo:hi].tolist()):
             nd = dv + w
-            if nd < dist.get(u, math.inf):
+            if nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v
                 heappush(heap, (nd + heur[u], u))

@@ -15,13 +15,15 @@ NeighborIndex whose points are its node configurations, so a tree answers
 its own queries and keeps no second copy.  Single writer.  `radius_pairs`
 and `knn_lists` answer the same queries for every point of a fixed set at
 once, by one sweep over a uniform grid in the kernel's summation order, so
-their answers equal the index's, ties and duplicate points included.
+their answers equal the index's, ties and duplicate points included.  Each
+sweep runs its rows in two halves on two threads, joined before it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -128,8 +130,7 @@ class NeighborIndex:
 _SLACK = 1e-9  # relative widening of a grid cell beyond the search radius
 _GRID_AXES = 4  # the grid spans at most this many of the widest axes
 _ROWS = 2048  # query rows whose candidate ranges are looked up at once
-_PAIRS = 1 << 18  # candidate pairs expanded at once, bounding memory
-_NO_IDS = np.empty(0, dtype=np.int64)  # seeds each concatenation of id arrays
+_PAIRS = 1 << 17  # candidate pairs expanded at once per half, bounding memory
 
 
 def _pair_distances(points, i, j):
@@ -146,6 +147,9 @@ class _Grid:
     cell`.  A cell has an int64 key in mixed radix; each coordinate is
     shifted by one so that the outermost cells' neighbours have keys too.
     The cell is never below span / (2**(60/g) - 3), so keys stay below 2**60.
+
+    The sweeps work on positions in cell order: position p is point order[p],
+    and `cols` holds one contiguous array per coordinate in that order.
     """
 
     def __init__(self, points, side):
@@ -160,22 +164,31 @@ class _Grid:
         radix = coords.max(axis=0) + 2
         strides = np.ones(g, dtype=np.int64)
         strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
-        self.key = coords @ strides
-        self.order = np.argsort(self.key, kind="stable")
-        self.sorted_key = self.key[self.order]
-        # the last axis has stride 1, so its three cells are one key range
+        key = coords @ strides
+        self.order = np.argsort(key, kind="stable")
+        self.sorted_key = key[self.order]
+        self.cols = [points[self.order, c] for c in range(points.shape[1])]
+        # the last axis has stride 1, so its three cells are one key range;
+        # the offsets ascend, with 0 in the middle and -o mirroring each o
         steps = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)), dtype=np.int64)
         self.offsets = steps.reshape(3 ** (g - 1), g - 1) @ strides[:-1]
 
-    def candidates(self, rows):
-        """Yield (part, local, dst): every point dst in the 3^g cells around row part[local].
+    def candidates(self, rows, once=False):
+        """Yield (part, local, i, j, dist) for each position j in the 3^g cells around row i.
 
-        Parts hold at most _PAIRS candidates (at least one row each); `local` ascends.
+        Row i is part[local]; dist is their distance as `_pair_distances`
+        computes it.  With `once`, j runs only over the positions after i in
+        its three-cell run and over the cells at positive offsets, so a sweep
+        over all rows meets each pair once.  Parts hold at most _PAIRS
+        candidates (at least one row each); `local` ascends.
         """
+        offsets = self.offsets[self.offsets.shape[0] // 2:] if once else self.offsets
         for start in range(0, rows.shape[0], _ROWS):
             block = rows[start:start + _ROWS]
-            base = self.key[block][:, None] + self.offsets
+            base = self.sorted_key[block][:, None] + offsets
             lo = np.searchsorted(self.sorted_key, base - 1, "left")
+            if once:  # offset 0 comes first: its run starts after the row
+                lo[:, 0] = block + 1
             count = np.searchsorted(self.sorted_key, base + 1, "right") - lo
             per_row = count.sum(axis=1)
             ends = np.cumsum(per_row)
@@ -183,30 +196,61 @@ class _Grid:
             while a < block.shape[0]:
                 b = max(a + 1, int(np.searchsorted(ends, ends[a] - per_row[a] + _PAIRS, "right")))
                 c = count[a:b].ravel()
-                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
-                yield block[a:b], np.repeat(np.arange(b - a), per_row[a:b]), self.order[pos]
+                j = np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+                part = block[a:b]
+                local = np.repeat(np.arange(b - a), per_row[a:b])
+                i = part[local]
+                yield part, local, i, j, _root_sum_squares(col[j] - col[i] for col in self.cols)
                 a = b
 
 
+def _in_two_halves(work, rows):
+    """[work(first half of rows), work(second half)], the second half on a helper thread.
+
+    numpy releases the GIL in the sweep kernels, so the halves use two cores.
+    The helper is joined before this returns; what it raised is raised here.
+    """
+    half = rows.shape[0] // 2
+    out = [None, None]
+
+    def second():
+        try:
+            out[1] = work(rows[half:])
+        except BaseException as exc:  # re-raised in the caller
+            out[1] = exc
+
+    helper = threading.Thread(target=second, daemon=True)
+    helper.start()
+    try:
+        out[0] = work(rows[:half])
+    finally:
+        helper.join()
+    if isinstance(out[1], BaseException):
+        raise out[1]
+    return out
+
+
 def radius_pairs(points, r: float):
-    """Every pair i < j of rows of `points` at distance <= r, as (i, j) id arrays.
+    """Every pair of rows of `points` at distance <= r, as (i, j) id arrays with i < j.
 
     A pair is in the result exactly when `NeighborIndex.within_radius`
-    from row i returns j.
+    from row i returns j.  Each pair appears once; the order of the pairs
+    is unspecified.
     """
     if not r > 0.0:
         raise UsageError("radius must be > 0")
     points = np.asarray(points, dtype=float)
-    src, dst = [_NO_IDS], [_NO_IDS]
-    if points.shape[0]:
-        for part, local, j in _Grid(points, r).candidates(np.arange(points.shape[0])):
-            i = part[local]
-            fwd = j > i
-            i, j = i[fwd], j[fwd]
-            keep = _pair_distances(points, i, j) <= r
-            src.append(i[keep])
-            dst.append(j[keep])
-    return np.concatenate(src), np.concatenate(dst)
+    if not points.shape[0]:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    grid = _Grid(points, r)
+
+    def sweep(rows):
+        return [grid.order[np.stack([i, j])[:, dist <= r]]
+                for _, _, i, j, dist in grid.candidates(rows, once=True)]
+
+    first, second = _in_two_halves(sweep, np.arange(points.shape[0]))
+    i, j = np.concatenate(first + second, axis=1)  # n > 0 rows, so at least one part
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def knn_lists(points, k: int):
@@ -232,19 +276,15 @@ def knn_lists(points, k: int):
     need = min(k + 1, n)
     widest = float(np.ptp(points, axis=0).max()) if n else 0.0
     side = widest * (1.5 * (k + 1) / (max(n, 1) * unit_ball_volume(d))) ** (1.0 / d) or 1.0
-    src, dst = [_NO_IDS], [_NO_IDS]
-    pending = np.arange(n)
-    while pending.shape[0]:
-        grid = _Grid(points, side)
-        retry = []
-        for part, local, j in grid.candidates(pending):
-            i = part[local]
-            dist = _pair_distances(points, i, j)
+    lists = np.empty((n, max(need - 1, 0)), dtype=np.int64)
+    pending = np.ones(n, dtype=bool)  # by id: the rows without a list yet
+
+    def sweep(rows):
+        for part, local, i, j, dist in grid.candidates(rows):
             inside = dist <= side
             settled = np.bincount(local[inside], minlength=part.shape[0]) >= need
-            retry.append(part[~settled])
             sel = inside & settled[local] & (j != i)
-            local, j, dist = local[sel], j[sel], dist[sel]
+            local, j, dist = local[sel], grid.order[j[sel]], dist[sel]
             m = dist.shape[0]
             rank = np.empty(m, dtype=np.int64)
             rank[np.argsort(dist)] = np.arange(m)
@@ -253,11 +293,14 @@ def knn_lists(points, k: int):
             if np.any((local[1:] == local[:-1]) & (dist[1:] == dist[:-1]) & (j[1:] < j[:-1])):
                 order = np.lexsort((j, dist, local))
                 local, j = local[order], j[order]
-            keep = np.arange(local.shape[0]) - np.searchsorted(local, local) < k
-            src.append(part[local[keep]])
-            dst.append(j[keep])
-        pending = np.concatenate(retry)
+            # each settled row's first min(k, n - 1) neighbours, from where its run starts
+            first = np.searchsorted(local, np.flatnonzero(settled))
+            ids = grid.order[part[settled]]
+            lists[ids] = j[first[:, None] + np.arange(lists.shape[1])]
+            pending[ids] = False
+
+    while pending.any():
+        grid = _Grid(points, side)
+        _in_two_halves(sweep, np.flatnonzero(pending[grid.order]))
         side *= 2.0
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    order = np.argsort(src, kind="stable")
-    return src[order], dst[order]
+    return np.repeat(np.arange(n), lists.shape[1]), lists.ravel()

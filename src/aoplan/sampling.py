@@ -66,8 +66,14 @@ class UniformStream:
         """The (k, d) array of k next_point calls: the same doubles, the same state after."""
         if domain.dimension != self.dimension:
             raise UsageError("stream dimension does not match the domain")
-        u = [self.next_uniform01() for _ in range(k * self.dimension)]
-        return domain.lo + np.array(u, dtype=float).reshape(-1, self.dimension) * domain.widths
+        need = max(k, 0) * self.dimension
+        head = self._draws[:-need - 1:-1]  # the buffered draws served first, in order
+        del self._draws[len(self._draws) - len(head):]
+        blocks = [self._rng.random(self._BLOCK)
+                  for _ in range(math.ceil((need - len(head)) / self._BLOCK))]
+        u = np.concatenate([np.array(head, dtype=float), *blocks])
+        self._draws += u[need:].tolist()[::-1]  # the last block's tail, once the buffer is spent
+        return domain.lo + u[:need].reshape(-1, self.dimension) * domain.widths
 
     def next_uniform01(self) -> float:
         if not self._draws:

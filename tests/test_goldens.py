@@ -29,6 +29,15 @@ print(json.dumps({{"cases": {{name: digest.expected(digest.run_case(table[name])
                               for name in {KERNEL_CASES!r}}},
                   "swap": digest.trial_digest("swap", 1)}}))
 """
+# pinned to one CPU, so the two halves of each neighbour sweep share it
+PINNED_PROBE = f"""
+import importlib.util, json, os
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+spec = importlib.util.spec_from_file_location("output_digest", {digest.__file__!r})
+digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digest)
+print(json.dumps({{w: digest.trial_digest(w, 1) for w in ("roadmap-box", "swap")}}))
+"""
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -51,9 +60,19 @@ def test_outputs_do_not_depend_on_the_blas_kernel():
                                     stdout=subprocess.PIPE,
                                     env={**os.environ, "OPENBLAS_CORETYPE": core})
              for core in ("Haswell", "Prescott")}
+    # and one child on numpy's pre-AVX2 SIMD kernels, with its thread schedule
+    # changed by running on one CPU
+    pinned = subprocess.Popen([sys.executable, "-c", PINNED_PROBE], text=True,
+                              stdout=subprocess.PIPE,
+                              env={**os.environ, "NPY_DISABLE_CPU_FEATURES":
+                                   "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
     want = {"cases": {name: GOLDENS[name]["expected"] for name in KERNEL_CASES},
             "swap": digest.trial_digest("swap", 1)}
     for core, proc in procs.items():
         out, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0, core
         assert json.loads(out) == want, core
+    out, _ = pinned.communicate(timeout=300)
+    assert pinned.returncode == 0
+    assert json.loads(out) == {"roadmap-box": digest.trial_digest("roadmap-box", 1),
+                               "swap": want["swap"]}

@@ -1,5 +1,7 @@
 import ast
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aoplan import NeighborIndex, UsageError, knn_lists, radius_pairs
-from aoplan.nn import _pair_distances, distance, row_distances
+from aoplan.nn import _Grid, _pair_distances, distance, row_distances
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aoplan"
 
@@ -412,6 +414,64 @@ def test_sweeps_keep_pairs_at_a_tiny_radius_in_d4():
     # and for the first five both with each other
     assert len(src) == 50 + 5 + 5
     assert_sweeps_match_index(points, 1e-6, 4)
+
+
+def test_sweeps_over_two_threads_match_index():
+    # a few thousand rows: each half holds several rows blocks and parts
+    points = np.random.default_rng(8).random((3000, 2))
+    before = threading.active_count()
+    src, dst = radius_pairs(points, 0.03)
+    assert np.all(src < dst)
+    assert sorted(zip(src.tolist(), dst.tolist())) == index_radius_pairs(points, 0.03)
+    src, dst = knn_lists(points, 12)
+    assert list(zip(src.tolist(), dst.tolist())) == index_knn_lists(points, 12)
+    assert threading.active_count() == before
+
+
+def test_concurrent_sweeps_keep_their_own_rows():
+    # three callers at once, each with its helper: more threads than cores,
+    # switched often, so a half writing into another call's rows would show
+    points = np.random.default_rng(10).random((1500, 3))
+    want = [a.tobytes() for a in (*radius_pairs(points, 0.08), *knn_lists(points, 7))]
+    got = []
+
+    def call():
+        for _ in range(3):
+            got.append([a.tobytes() for a in (*radius_pairs(points, 0.08), *knn_lists(points, 7))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 9
+
+
+class HalfFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_helper", [True, False])
+@pytest.mark.parametrize("sweep", [lambda p: radius_pairs(p, 0.05), lambda p: knn_lists(p, 5)])
+def test_sweep_failure_on_either_half_reaches_the_caller(sweep, on_helper, monkeypatch):
+    candidates = _Grid.candidates
+
+    def failing(self, rows, *args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) != on_helper:
+            raise HalfFailed
+        return candidates(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(_Grid, "candidates", failing)
+    before = threading.active_count()
+    with pytest.raises(HalfFailed):
+        sweep(np.random.default_rng(9).random((500, 2)))
+    assert threading.active_count() == before
 
 
 def test_sweeps_on_few_points_and_bad_arguments():

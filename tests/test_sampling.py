@@ -156,16 +156,24 @@ def assert_same_state(s1, s2, domain):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["uniform", "halton"]), seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.integers(-2, 1500), min_size=1, max_size=4))
-@example(kind="halton", seed=0, sizes=[5, -2])
-def test_next_points_equal_next_point_calls(kind, seed, sizes):
-    """Across block edges, k points are k next_point calls (none for k < 1), bit for bit."""
+       sizes=st.lists(st.integers(-2, 1500), min_size=1, max_size=4), scalar=st.booleans())
+@example(kind="halton", seed=0, sizes=[5, -2], scalar=False)
+# doubles 3 to 2203 of the uniform stream: the 1100 points cross two block edges
+@example(kind="uniform", seed=5, sizes=[1, 1100], scalar=True)
+def test_next_points_equal_next_point_calls(kind, seed, sizes, scalar):
+    """Across block edges, k points are k next_point calls (none for k < 1), bit for bit.
+
+    With `scalar`, a next_uniform01 call follows each block and gives the
+    scalar path's next draw.
+    """
     s1, s2 = twin_streams(kind, seed)
     for k in sizes:
         got = s1.next_points(WIDE, k)
         want = [s2.next_point(WIDE).tolist() for _ in range(k)]
         assert got.dtype == np.float64 and got.shape == (max(k, 0), 2)
         assert got.tolist() == want
+        if scalar:
+            assert s1.next_uniform01() == s2.next_uniform01()
     assert_same_state(s1, s2, WIDE)
 
 
