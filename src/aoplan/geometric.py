@@ -136,10 +136,16 @@ def steer(from_, toward, eta: float) -> np.ndarray:
         raise UsageError("eta must be > 0")
     a = as_config(from_)
     b = as_config(toward, a.shape[0], "steer target")
-    dist = distance(b.tolist(), a.tolist())
+    return np.array(_steer(a.tolist(), b.tolist(), eta)[0])
+
+
+def _steer(a: list, b: list, eta: float):
+    """steer on lists of floats: (the new point, whether it is b itself)."""
+    dist = distance(b, a)
     if dist <= eta:
-        return b.copy()
-    return a + (eta / dist) * (b - a)
+        return b, True
+    s = eta / dist
+    return [x + s * (y - x) for x, y in zip(a, b)], False
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +601,23 @@ def _extension(run, tree, stream, eta, goal_bias, max_attempts):
     """Draw a target (the goal centre at rate goal_bias) and steer from its nearest node.
 
     Counts the sample and the nearest query.  Returns (nearest id, new
-    configuration), or None when the step stays put.
+    configuration as a list of floats, edge check), or None when the step
+    stays put.  The check takes the new configuration and a node as lists.
+    Nodes are known free (the root passed point_valid, the rest a checked
+    edge), so when the new configuration is the free sample itself the
+    check skips the end tests.
     """
     run.samples += 1
     if stream.next_uniform01() < goal_bias:
-        target = run.scenario.goal.center
+        target, drawn = run.scenario.goal.center, False
     else:
-        target = sample_free(stream, run.scenario, max_attempts)
+        target, drawn = sample_free(stream, run.scenario, max_attempts, run.checker.margin), True
     run.nn_queries += 1
     near = tree.nearest_id(target)
-    v = steer(tree.config(near), target, eta)
-    return None if np.array_equal(v, tree.config(near)) else (near, v)
+    a = tree.config(near).tolist()
+    v, reached = _steer(a, target.tolist(), eta)
+    check = run.checker._edge_between_free if reached and drawn else run.checker.edge_valid
+    return None if v == a else (near, v, check)
 
 
 def _tree_result(run, tree, goal_nodes) -> PlanResult:
@@ -636,9 +648,10 @@ def rrt(
     for it in range(1, n + 1):
         step = _extension(run, tree, stream, eta, goal_bias, max_attempts)
         if step is not None:
-            near, v = step
-            if run.checker.edge_valid(tree.config(near), v):
-                vid = tree.add(v, near, distance(v.tolist(), tree.config(near).tolist()))
+            near, v, check_edge = step
+            a = tree.config(near).tolist()
+            if check_edge(v, a):
+                vid = tree.add(v, near, distance(v, a))
                 if not goal_nodes and scenario.goal.contains(v):
                     goal_nodes.append(vid)
         run.tree_checkpoint(it, tree, goal_nodes)
@@ -690,7 +703,7 @@ def rrt_star(
     for it in range(1, n + 1):
         step = _extension(run, tree, stream, eta, goal_bias, max_attempts)
         if step is not None:
-            v = step[1]
+            _, v, check_edge = step
             r = min(connection_radius(rule, max(tree.size, 2)), eta_max)
             run.nn_queries += 1
             ids, dists = tree.within_radius(v, r)
@@ -702,7 +715,7 @@ def rrt_star(
                 j = int(through.argmin())
                 tied = (through == through[j]).nonzero()[0]
                 j = int(tied[dists[tied].argmin()]) if tied.shape[0] > 1 else j
-                valid[j] = run.checker.edge_valid(v, tree.config(ids[j]))
+                valid[j] = check_edge(v, tree.config(ids[j]).tolist())
                 if valid[j]:
                     pick = j
                     break
@@ -719,7 +732,7 @@ def rrt_star(
                     u = int(ids[j])
                     if base + dists[j] < tree.cost[u]:
                         if j not in valid:
-                            valid[j] = run.checker.edge_valid(v, tree.config(u))
+                            valid[j] = check_edge(v, tree.config(u).tolist())
                         if valid[j]:
                             tree.reparent(u, vid, float(dists[j]))
                             run.rewires += 1

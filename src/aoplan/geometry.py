@@ -460,10 +460,14 @@ def _interval(ob, a, u, uu: float, margin: float):
 
 def _segment_free(bounds, a, b, rho: float, margin: float) -> bool:
     """segments_valid for one segment."""
+    return (_point_free(bounds, a, margin) and _point_free(bounds, b, margin)
+            and _between_free(bounds, a, b, rho, margin))
+
+
+def _between_free(bounds, a, b, rho: float, margin: float) -> bool:
+    """_segment_free for two ends that _point_free accepts: the points between them."""
     if a > b:
         a, b = b, a
-    if not (_point_free(bounds, a, margin) and _point_free(bounds, b, margin)):
-        return False
     u = [y - x for x, y in zip(a, b)]
     uu = 0.0
     for t in u:
@@ -825,6 +829,11 @@ class CollisionChecker:
         d = self.scenario.dimension
         return _segment_free(self.scenario._bounds, _floats(a, d, "edge endpoint"),
                              _floats(b, d, "edge endpoint"), self.resolution, self.margin)
+
+    def _edge_between_free(self, a: list, b: list) -> bool:
+        """edge_valid for two lists of floats that this checker found free; one check."""
+        self.checks += 1
+        return _between_free(self.scenario._bounds, a, b, self.resolution, self.margin)
 
     def edges_valid(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray,
                     lengths: np.ndarray) -> np.ndarray:

@@ -75,6 +75,7 @@ class NeighborIndex:
         self.dimension = int(dimension)
         self._points = np.empty((self.dimension, max(1, capacity)))
         self._size = 0
+        self._last = (None, None)  # (key, distances) of the last scan
 
     def __len__(self) -> int:
         return self._size
@@ -99,9 +100,18 @@ class NeighborIndex:
         return self._points[:, : self._size].T
 
     def _distances(self, q) -> np.ndarray:
+        """Read-only distances from q to every point.  The last scan is kept: points only
+        grow, so a scan keyed on (size, q's shape and bytes) equals a fresh one."""
         if self._size == 0:
             raise UsageError("index is empty")
-        return row_distances(self.points, np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        key = (self._size, q.shape, q.tobytes())
+        last, dists = self._last
+        if last != key:
+            dists = row_distances(self.points, q)
+            dists.flags.writeable = False
+            self._last = key, dists
+        return dists
 
     def nearest_id(self, q) -> int:
         """The closest point's id; argmin's first minimum is the lowest tied id."""

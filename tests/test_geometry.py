@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aoplan import (
     BallObstacle,
@@ -24,7 +24,7 @@ from aoplan import (
     scenario_from_dict,
     segments_valid,
 )
-from aoplan.geometry import _rowdot, clearance_of_points
+from aoplan.geometry import _between_free, _point_free, _rowdot, _segment_free, clearance_of_points
 from aoplan.nn import _pair_distances
 
 from conftest import pocket_scenario
@@ -579,3 +579,34 @@ def test_edges_valid_certificate_matches_subdivision(case):
     got = checker.edges_valid(pts, a, b, _pair_distances(pts, a, b))
     assert got.tolist() == segments_valid(sc, pts[a], pts[b], rho, margin).tolist()
     assert checker.checks == len(a)
+
+
+# the lower face of BOX, and 1 and 2 ulps below it
+FACE_Y = [0.4, math.nextafter(0.4, 0.0), math.nextafter(math.nextafter(0.4, 0.0), 0.0)]
+domain_point_st = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(obstacles=st.lists(obstacle_st, max_size=3), a=domain_point_st, b=domain_point_st,
+       rho=st.sampled_from([0.3, 0.05, 0.011]), margin=st.sampled_from([0.0, 0.02]))
+@example(obstacles=[BOX], a=(0.3, FACE_Y[0]), b=(0.7, FACE_Y[0]), rho=0.01, margin=0.0)
+@example(obstacles=[BOX], a=(0.3, FACE_Y[1]), b=(0.7, FACE_Y[1]), rho=0.01, margin=0.0)
+@example(obstacles=[BOX], a=(0.3, FACE_Y[2]), b=(0.7, FACE_Y[2]), rho=0.01, margin=0.0)
+# tangent to BALL at (0.5, 0.4), which is the subdivision point i = 20 of 40
+@example(obstacles=[BALL], a=(0.3, 0.4), b=(0.7, 0.4), rho=0.01, margin=0.0)
+# the midpoint lies on the face when computed from one end only: the ends' order matters
+@example(obstacles=[BOX], a=(0.12320995979141812, 0.13991123103260578),
+         b=(0.8969230834167059, 0.6600887689673942), rho=0.46615899714722886, margin=0.0)
+def test_between_free_is_segment_free_for_free_ends(obstacles, a, b, rho, margin):
+    """With both ends free, skipping the end tests keeps the verdict; each path counts one check."""
+    assume(_start_free(obstacles))
+    sc = square(obstacles, start=(0.001, 0.001))
+    bounds = sc._bounds
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    assume(_point_free(bounds, a, margin) and _point_free(bounds, b, margin))
+    want = _segment_free(bounds, a, b, rho, margin)
+    assert _segment_free(bounds, b, a, rho, margin) == want
+    assert _between_free(bounds, a, b, rho, margin) == _between_free(bounds, b, a, rho, margin) == want
+    checker = CollisionChecker(sc, rho, margin)
+    assert checker.edge_valid(a, b) == want and checker.checks == 1
+    assert checker._edge_between_free(a, b) == want and checker.checks == 2

@@ -176,6 +176,66 @@ def test_radius_monotone_and_knn_permutation(pts, q, r1, r2):
         assert list(zip(ids.tolist(), dists.tolist())) == linear_scan(items, q, radius=r)
 
 
+# --- the scan memo -------------------------------------------------------------
+
+# query and insert sites: repeats, a point 1 ulp from another, and -0.0
+SITES = [(0.0, 0.0), (0.25, 0.5), (1.0, 0.0), (0.25, math.nextafter(0.5, 1.0)), (0.5, 0.5),
+         (-0.0, 0.0)]
+memo_step = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(SITES) - 1)),
+    # a fresh tuple, list or array each time, or the one held array rewritten in place
+    st.tuples(st.just("query"), st.integers(0, len(SITES) - 1),
+              st.sampled_from(["tuple", "list", "array", "held"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(memo_step, max_size=30))
+# the same query before and after an insert that changes its answer
+@example(steps=[("insert", 0), ("query", 4, "tuple"), ("insert", 4), ("query", 4, "array")])
+@example(steps=[("insert", 0), ("insert", 2), ("query", 1, "held"), ("query", 3, "held")])
+def test_repeated_queries_equal_a_fresh_index(steps):
+    idx = NeighborIndex(2)
+    inserted = []
+    held = np.zeros(2)
+    for kind, site, *how in steps:
+        if kind == "insert":
+            idx.insert(len(inserted), SITES[site])
+            inserted.append(SITES[site])
+            continue
+        if not inserted:
+            continue
+        if how[0] == "held":
+            held[:] = SITES[site]
+            q = held
+        else:
+            q = {"tuple": tuple, "list": list, "array": np.array}[how[0]](SITES[site])
+        fresh = NeighborIndex(2)
+        for i, p in enumerate(inserted):
+            fresh.insert(i, p)
+        assert idx.nearest_id(q) == fresh.nearest_id(q)
+        for got, want in [(idx.within_radius(q, 0.3), fresh.within_radius(q, 0.3)),
+                          (idx.k_nearest(q, 3), fresh.k_nearest(q, 3))]:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_scan_memo_is_read_only_and_results_are_fresh():
+    idx = NeighborIndex(2)
+    for i, p in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]):
+        idx.insert(i, p)
+    scan = idx._distances((0.0, 0.0))
+    with pytest.raises(ValueError):
+        scan[0] = 5.0
+    assert idx._distances(np.zeros(2)) is scan
+    results = [*idx.within_radius((0.0, 0.0), 1.5), *idx.k_nearest((0.0, 0.0), 2)]
+    for out in results:
+        assert out.flags.writeable and not np.shares_memory(out, scan)
+        out[:] = 7
+    assert idx.within_radius((0.0, 0.0), 1.5)[1].tolist() == [0.0, 1.0]
+    assert idx.k_nearest((0.0, 0.0), 2)[1].tolist() == [0.0, 1.0]
+    assert scan.tolist() == [0.0, 1.0, 2.0]
+
+
 # --- the distance kernel -------------------------------------------------------
 
 

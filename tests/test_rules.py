@@ -237,6 +237,24 @@ def test_steer_bad_eta():
         steer((0, 0), (1, 0), 0.0)
 
 
+@pytest.mark.parametrize("from_, toward", [((0, math.nan), (1, 0)), ((0, 0), (math.nan, 0)),
+                                           ((0, 0), (1, 0, 0)), ((0, 0, 0), (1, 0))],
+                         ids=["nan-from", "nan-toward", "toward-3d", "from-3d"])
+def test_steer_rejects_a_nan_coordinate_and_a_wrong_dimension(from_, toward):
+    with pytest.raises(UsageError):
+        steer(from_, toward, 0.5)
+
+
+@pytest.mark.parametrize("toward, eta", [((0.3, 0.45), 0.5), ((0.9, -0.7), 0.1),
+                                         ((1e-9, 3.0), 0.7), ((0.1, 0.2), 0.25)])
+def test_steer_gives_the_array_formula_bit_for_bit(toward, eta):
+    a, b = np.array([0.1, 0.2]), np.array(toward)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dist = math.sqrt(dx * dx + dy * dy)
+    want = b if dist <= eta else a + (eta / dist) * (b - a)
+    assert steer(a, b, eta).tobytes() == want.tobytes()
+
+
 # --- nan, inf and fractional values -----------------------------------------
 
 BOX = load_fixture_scenario("box_square.json")
