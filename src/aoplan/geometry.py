@@ -371,11 +371,7 @@ def segments_valid(
 
 def edge_valid(scenario: Scenario, a, b, rho: float, margin: float = 0.0) -> bool:
     """True iff every subdivision point of segment ab at spacing <= rho is valid."""
-    _check_resolution(rho)
-    _check_margin(margin)
-    a = as_config(a, scenario.dimension, "edge endpoint")
-    b = as_config(b, scenario.dimension, "edge endpoint")
-    return _segment_free(scenario._bounds, a.tolist(), b.tolist(), rho, margin)
+    return CollisionChecker(scenario, rho, margin).edge_valid(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +588,6 @@ def _composite_free(bounds, a, b, radii, rho: float) -> bool:
                         return False
                     break
     return True
-
-
-def _floats(q, d: int, what: str) -> list:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (d,):
-        raise UsageError(f"{what} has shape {q.shape}, expected ({d},)")
-    return q.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +811,14 @@ class CollisionChecker:
     def point_valid(self, q) -> bool:
         self.checks += 1
         d = self.scenario.dimension
-        return _point_free(self.scenario._bounds, _floats(q, d, "point"), self.margin)
+        return _point_free(self.scenario._bounds, as_config(q, d, "point").tolist(), self.margin)
 
     def edge_valid(self, a, b) -> bool:
         self.checks += 1
         d = self.scenario.dimension
-        return _segment_free(self.scenario._bounds, _floats(a, d, "edge endpoint"),
-                             _floats(b, d, "edge endpoint"), self.resolution, self.margin)
+        return _segment_free(self.scenario._bounds, as_config(a, d, "edge endpoint").tolist(),
+                             as_config(b, d, "edge endpoint").tolist(), self.resolution,
+                             self.margin)
 
     def _edge_between_free(self, a: list, b: list) -> bool:
         """edge_valid for two lists of floats that this checker found free; one check."""

@@ -60,9 +60,6 @@ class DynamicalSystem:
     def positions(self, states: np.ndarray) -> np.ndarray:
         return self.position_fn(states if states.ndim == 2 else states[None, :])
 
-    def sample_state(self, stream, scenario: Scenario) -> np.ndarray:
-        return self.sample_state_fn(stream, scenario)
-
     def distances(self, states: np.ndarray, state: np.ndarray) -> np.ndarray:
         """A fresh array of distances from each row of states (or one state) to state."""
         return self.distance_fn(states if states.ndim == 2 else states[None, :], state)
@@ -176,9 +173,8 @@ def monte_carlo_propagate(system: DynamicalSystem, from_state, stream):
         raise UsageError("control_filter rejected 10000 consecutive draws")
     t_min, t_max = system.duration_bounds
     duration = t_min + stream.next_uniform01() * (t_max - t_min)
-    steps = max(1, int(round(duration / system.step)))
-    traj = system.propagate_fn(from_state, control, steps)
-    return traj, control, steps * system.step
+    traj = system.propagate(from_state, control, duration)
+    return traj, control, (len(traj) - 1) * system.step
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def sst_plan(
 
     for it in range(1, iterations + 1):
         run.samples += 1
-        x_rand = system.sample_state(stream, scenario)
+        x_rand = system.sample_state_fn(stream, scenario)
         run.nn_queries += 1
         dists = system.distances(tree.configs, x_rand)
         active = tree.active[: tree.size]
@@ -396,7 +392,7 @@ def ao_rrt_plan(
 
     for it in range(1, iterations + 1):
         run.samples += 1
-        x_rand = system.sample_state(stream, scenario)
+        x_rand = system.sample_state_fn(stream, scenario)
         c_rand = stream.next_uniform01() * (bound if math.isfinite(bound) else sample_scale)
         run.nn_queries += 1
         dists = system.distances(tree.configs, x_rand)
@@ -451,7 +447,7 @@ def cost_bounded_rrt(
         return done
     for it in range(1, iterations + 1):
         run.samples += 1
-        x_rand = system.sample_state(stream, scenario)
+        x_rand = system.sample_state_fn(stream, scenario)
         run.nn_queries += 1
         sel = int(np.argmin(system.distances(tree.configs, x_rand)))
         child = _extend(run, system, stream, tree, sel, lambda cost: cost < bound)

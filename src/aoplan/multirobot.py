@@ -30,10 +30,6 @@ class CompositeConfig:
     per_robot: tuple
     robot_radii: tuple
 
-    @property
-    def num_robots(self) -> int:
-        return len(self.per_robot)
-
 
 @dataclass(frozen=True)
 class CompositePath:
@@ -87,7 +83,7 @@ def composite_edge_valid(scenario: Scenario, a: CompositeConfig, b: CompositeCon
     inflated free space and every robot pair at least the sum of their
     radii apart.
     """
-    if a.num_robots != b.num_robots:
+    if len(a.per_robot) != len(b.per_robot):
         raise UsageError("composite configurations have different robot counts")
     if tuple(a.robot_radii) != tuple(b.robot_radii):
         raise UsageError("composite configurations have different robot radii")
@@ -257,8 +253,8 @@ def drrt_star(
     robots = tuple(robots) if robots is not None else scenario.robots
     if not robots:
         raise UsageError("scenario defines no robots")
-    rho = resolution if resolution is not None else scenario.default_resolution()
-    run = _Run(scenario, iterations, checkpoints, rho)
+    run = _Run(scenario, iterations, checkpoints, resolution)
+    rho = run.checker.resolution
 
     roadmaps = build_per_robot_roadmaps(
         scenario, robots, stream, n_roadmap, rule,
@@ -272,10 +268,7 @@ def drrt_star(
         if distance(tree.positions[i][0], tree.positions[j][0]) < radii[i] + radii[j]:
             raise UsageError(f"robots {i} and {j} overlap at their starts")
 
-    goal_sets = [
-        {v for v, q in enumerate(rm.vertices) if rb.goal.contains(q)}
-        for rb, rm in zip(robots, roadmaps)
-    ]
+    goal_sets = [set(rm.goal_ids) for rm in roadmaps]
 
     def is_goal(key) -> bool:
         return all(v in goals for v, goals in zip(key, goal_sets))

@@ -232,8 +232,8 @@ def per_push_astar(roadmap):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_heuristic_table_keeps_per_push_paths(box_square, seed):
     rm = prm_star(box_square, UniformStream(2, seed), 2000).roadmap
-    # the goal set is the vertices that GoalRegion.contains accepts
-    assert all(box_square.goal.contains(rm.vertices[g]) for g in rm.goal_ids)
+    # the goal set is exactly the vertices that GoalRegion.contains accepts
+    assert rm.goal_ids == [v for v, q in enumerate(rm.vertices) if box_square.goal.contains(q)]
     for roadmap in (rm, dataclasses.replace(rm, goal=None)):
         path = shortest_path(roadmap)
         got = [q.tobytes() for q in path.waypoints], repr(path.cost)

@@ -97,6 +97,26 @@ def test_point_valid_dimension_mismatch():
         CollisionChecker(square()).point_valid((0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [
+    (math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5),
+    (0.5, 0.5, 0.5), (0.5,), (), ((0.5, 0.5),),
+], ids=["nan", "inf", "-inf", "3-d", "1-d", "empty", "nested"])
+def test_single_item_checks_reject_bad_coordinates(bad):
+    sc = square([BOX])
+    checker = CollisionChecker(sc)
+    good = (0.2, 0.2)
+    calls = [
+        lambda: checker.point_valid(bad),
+        lambda: checker.edge_valid(bad, good),
+        lambda: checker.edge_valid(good, bad),
+        lambda: edge_valid(sc, bad, good, 0.01),
+        lambda: edge_valid(sc, good, bad, 0.01),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError):
+            call()
+
+
 # --- edge validity --------------------------------------------------------
 
 

@@ -112,18 +112,29 @@ def test_sst_checkpoints_non_increasing(kino_square):
     assert all(b <= a + 1e-12 for a, b in zip(defined, defined[1:]))
 
 
-def test_sst_trajectory_replays_and_is_valid(kino_square):
-    system = single_integrator_2d()
-    res = sst_plan(kino_square, system, UniformStream(2, 2), 6000)
+def assert_replays(scenario, system, res):
+    """Re-propagating each stored control and duration lands exactly on the next state."""
     traj = res.path
     assert isinstance(traj, Trajectory)
     assert res.best_cost == pytest.approx(sum(traj.durations), abs=1e-9)
     state = traj.states[0]
     for control, duration, nxt in zip(traj.controls, traj.durations, traj.states[1:]):
         seg = system.propagate(state, control, duration)
-        assert np.allclose(seg[-1], nxt, atol=1e-12)
-        assert points_valid(kino_square, system.positions(seg)).all()
+        assert np.array_equal(seg[-1], nxt)
+        assert points_valid(scenario, system.positions(seg)).all()
         state = nxt
+
+
+def test_sst_trajectory_replays_and_is_valid(kino_square):
+    system = single_integrator_2d()
+    assert_replays(kino_square, system, sst_plan(kino_square, system, UniformStream(2, 2), 6000))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_ao_rrt_car_trajectory_replays_and_is_valid(kino_square, seed):
+    system = kinematic_car()
+    res = ao_rrt_plan(kino_square, system, UniformStream(2, seed), 3000)
+    assert_replays(kino_square, system, res)
 
 
 def test_sst_shrink_schedule(kino_square):

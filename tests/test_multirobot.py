@@ -529,6 +529,15 @@ def test_single_robot_roadmap_is_plain_prm(swap_scenario):
     assert np.allclose(rm.vertices[1], (0.9, 0.5))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_roadmap_goal_ids_are_the_vertices_in_the_robot_goal(swap_scenario, seed):
+    # drrt_star reads its goal sets from goal_ids; the robots' positive
+    # margins must not change which vertices GoalRegion.contains accepts
+    roadmaps = build_per_robot_roadmaps(swap_scenario, None, UniformStream(2, seed), 500)
+    for rb, rm in zip(swap_scenario.robots, roadmaps):
+        assert rm.goal_ids == [v for v, q in enumerate(rm.vertices) if rb.goal.contains(q)]
+
+
 def test_oversized_robot_saturates():
     sc = scenario_from_dict({
         "dimension": 2, "domain": {"min": [0, 0], "max": [1, 1]},
